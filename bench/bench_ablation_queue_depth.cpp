@@ -50,10 +50,7 @@ int main(int argc, char** argv) {
     opts.queue_depth = depth;
     malt::Malt malt(opts);
     malt::SvmRunResult r = malt::RunDistributedSvm(malt, config);
-    int64_t lost_total = 0;
-    for (int rank = 0; rank < ranks; ++rank) {
-      lost_total += static_cast<int64_t>(malt.recorder(rank).Counter("lost_updates"));
-    }
+    const int64_t lost_total = malt.telemetry().Merged().CounterValue("dstorm.overwrites_on_full");
     const double queue_kb = static_cast<double>(ranks - 1) * depth *
                             (static_cast<double>(data_cfg.dim) * 4 + 24) / 1024.0;
     std::printf("depth %d %.4f %lld %.0f\n", depth, r.final_loss,

@@ -12,8 +12,9 @@
 #include "src/base/seqlock.h"
 #include "src/comm/graph.h"
 #include "src/dstorm/dstorm.h"
-#include "src/vol/malt_vector.h"
 #include "src/simnet/fabric.h"
+#include "src/simnet/rank_ctx.h"
+#include "src/vol/malt_vector.h"
 
 namespace malt {
 namespace {
@@ -50,11 +51,12 @@ void BM_DstormRound(benchmark::State& state) {
   for (auto _ : state) {
     Engine engine;
     Fabric fabric(engine, nodes, FabricOptions{});
-    DstormDomain domain(engine, fabric, nodes);
+    DstormDomain domain(fabric, nodes);
     for (int rank = 0; rank < nodes; ++rank) {
       engine.AddProcess("r" + std::to_string(rank), [&, rank](Process& p) {
+        SimProcessCtx ctx(p);
         Dstorm& d = domain.node(rank);
-        d.Bind(p);
+        d.BindCtx(ctx);
         SegmentOptions opts;
         opts.obj_bytes = obj_bytes;
         opts.graph = use_halton ? HaltonGraph(nodes) : AllToAllGraph(nodes);
@@ -84,11 +86,12 @@ void BM_SparseEncodeScatter(benchmark::State& state) {
   for (auto _ : state) {
     Engine engine;
     Fabric fabric(engine, 2, FabricOptions{});
-    DstormDomain domain(engine, fabric, 2);
+    DstormDomain domain(fabric, 2);
     for (int rank = 0; rank < 2; ++rank) {
       engine.AddProcess("r" + std::to_string(rank), [&, rank](Process& p) {
+        SimProcessCtx ctx(p);
         Dstorm& d = domain.node(rank);
-        d.Bind(p);
+        d.BindCtx(ctx);
         MaltVectorOptions opts;
         opts.name = "v";
         opts.dim = dim;

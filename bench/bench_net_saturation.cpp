@@ -12,6 +12,7 @@
 #include "src/comm/graph.h"
 #include "src/dstorm/dstorm.h"
 #include "src/simnet/fabric.h"
+#include "src/simnet/rank_ctx.h"
 
 int main(int argc, char** argv) {
   malt::Flags flags;
@@ -28,14 +29,15 @@ int main(int argc, char** argv) {
   malt::Engine engine;
   malt::FabricOptions fabric_opts;  // paper-default network model
   malt::Fabric fabric(engine, nodes, fabric_opts);
-  malt::DstormDomain domain(engine, fabric, nodes);
+  malt::DstormDomain domain(fabric, nodes);
 
   const size_t obj_bytes = obj_mb * 1024 * 1024;
   std::vector<malt::SimTime> finish(static_cast<size_t>(nodes), 0);
   for (int rank = 0; rank < nodes; ++rank) {
     engine.AddProcess("rank" + std::to_string(rank), [&, rank](malt::Process& p) {
+      malt::SimProcessCtx ctx(p);
       malt::Dstorm& d = domain.node(rank);
-      d.Bind(p);
+      d.BindCtx(ctx);
       malt::SegmentOptions seg_opts;
       seg_opts.obj_bytes = obj_bytes;
       seg_opts.graph = malt::AllToAllGraph(nodes);

@@ -141,7 +141,6 @@ SvmRunResult RunDistributedSvm(Malt& malt, const SvmAppConfig& config) {
         // Fold cost: one pass over each incoming entry plus the rescale.
         w.ChargeFlops(2.0 * static_cast<double>(r.values_folded) +
                       2.0 * static_cast<double>(data.dim));
-        rec.Count("updates_folded", r.received);
       }
       if (gradient_mode) {
         // Fold back into the working model. Delta rounds: w = snapshot +
@@ -228,7 +227,6 @@ SvmRunResult RunDistributedSvm(Malt& malt, const SvmAppConfig& config) {
     }
     evaluate();
 
-    rec.Set("lost_updates", static_cast<double>(shared.LostUpdates()));
     // Phase breakdown from the runtime's own counters (Fig. 8), not from
     // app-local stopwatches — PhaseScope charged them above.
     const MetricRegistry& metrics = w.telemetry().metrics;

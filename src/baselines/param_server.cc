@@ -66,7 +66,7 @@ PsRunResult RunDistributedPsSvm(Malt& malt, const PsSvmConfig& config) {
       std::vector<std::pair<int, uint32_t>> respond;
 
       while (processed < expected_total) {
-        w.process().WaitUntil([&up] { return up.FreshAvailable(); });
+        w.ctx().Wait([&up] { return up.FreshAvailable(); });
         respond.clear();
         const GatherResult r = up.GatherCustom([&](std::span<float>, const IncomingUpdate& u) {
           if (gradient_push) {
@@ -176,7 +176,7 @@ PsRunResult RunDistributedPsSvm(Malt& malt, const PsSvmConfig& config) {
         Worker::PhaseScope scope(w, Worker::Phase::kBarrier);
         const SimTime t0 = w.now();
         const uint32_t want = my_batch;
-        w.process().WaitUntil(
+        w.ctx().Wait(
             [&down, want] { return down.MinPeerIteration() >= static_cast<int64_t>(want); });
         wait_seconds += ToSeconds(w.now() - t0);
       }

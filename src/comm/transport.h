@@ -1,6 +1,6 @@
 // Transport — the one-sided-write substrate dstorm programs against.
 //
-// The paper's dstorm runs over GASPI/InfiniBand; this repo has two
+// The paper's dstorm runs over one-sided RDMA on InfiniBand; this repo has two
 // implementations of the same verbs-like subset:
 //   - Fabric (src/simnet): a discrete-event simulation with virtual time,
 //     latency/bandwidth modeling, partition injection, and deterministic

@@ -8,6 +8,7 @@
 
 #include "src/base/log.h"
 #include "src/shmem/rank_ctx.h"
+#include "src/simnet/rank_ctx.h"
 #include "src/telemetry/metrics.h"
 
 namespace malt {
@@ -160,11 +161,6 @@ int Worker::SlowestInNeighbor(const MaltVector& v) const {
 int Worker::world() const { return malt_->options().ranks; }
 
 const MaltOptions& Worker::options() const { return malt_->options(); }
-
-Process& Worker::process() {
-  MALT_CHECK(proc_ != nullptr) << "Worker::process() is sim-transport only";
-  return *proc_;
-}
 
 void Worker::ChargeFlops(double flops) { ctx_->Advance(options().cost.ForFlops(flops)); }
 
@@ -525,23 +521,27 @@ void Malt::Run(const std::function<void(Worker&)>& body) {
   }
 }
 
+void Malt::RunWorker(int rank, RankCtx& ctx, const std::function<void(Worker&)>& body) {
+  Worker worker(this, rank);
+  worker.ctx_ = &ctx;
+  worker.dstorm_ = &domain_->node(rank);
+  worker.dstorm_->BindCtx(ctx);
+  worker.monitor_ = std::make_unique<FaultMonitor>(*worker.dstorm_, options_.fault);
+  worker.recorder_ = &recorders_[static_cast<size_t>(rank)];
+  worker.InitTelemetry();
+  body(worker);
+  worker.CloseEpochForHealth();
+  // Tell peers this rank is done with collectives: after failures,
+  // survivors can run different numbers of rounds per epoch, and a
+  // barrier must never wait on a rank that already returned.
+  worker.dstorm_->FinishBarriers();
+}
+
 void Malt::RunSim(const std::function<void(Worker&)>& body) {
   for (int rank = 0; rank < options_.ranks; ++rank) {
     engine_->AddProcess("rank" + std::to_string(rank), [this, rank, &body](Process& proc) {
-      Worker worker(this, rank);
-      worker.proc_ = &proc;
-      worker.dstorm_ = &domain_->node(rank);
-      worker.dstorm_->Bind(proc);
-      worker.ctx_ = &worker.dstorm_->ctx();
-      worker.monitor_ = std::make_unique<FaultMonitor>(*worker.dstorm_, options_.fault);
-      worker.recorder_ = &recorders_[static_cast<size_t>(rank)];
-      worker.InitTelemetry();
-      body(worker);
-      worker.CloseEpochForHealth();
-      // Tell peers this rank is done with collectives: after failures,
-      // survivors can run different numbers of rounds per epoch, and a
-      // barrier must never wait on a rank that already returned.
-      worker.dstorm_->FinishBarriers();
+      SimProcessCtx ctx(proc);
+      RunWorker(rank, ctx, body);
     });
   }
   if (streamer_ != nullptr) {
@@ -648,17 +648,8 @@ void Malt::RunShmem(const std::function<void(Worker&)>& body) {
   threads.reserve(static_cast<size_t>(n));
   for (int rank = 0; rank < n; ++rank) {
     threads.emplace_back([this, rank, &body, &ctxs] {
-      Worker worker(this, rank);
-      worker.ctx_ = ctxs[static_cast<size_t>(rank)].get();
-      worker.dstorm_ = &domain_->node(rank);
-      worker.dstorm_->BindCtx(*worker.ctx_);
-      worker.monitor_ = std::make_unique<FaultMonitor>(*worker.dstorm_, options_.fault);
-      worker.recorder_ = &recorders_[static_cast<size_t>(rank)];
-      worker.InitTelemetry();
       try {
-        body(worker);
-        worker.CloseEpochForHealth();
-        worker.dstorm_->FinishBarriers();
+        RunWorker(rank, *ctxs[static_cast<size_t>(rank)], body);
       } catch (const ProcessKilled&) {
         // Fail-stop: the rank is dead from here on; peers observe error
         // completions and failed probes exactly as on the simulated fabric.

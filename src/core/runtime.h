@@ -48,8 +48,6 @@ class Worker {
   // Execution context (time, blocking, cancellation) — valid on both
   // backends.
   RankCtx& ctx() { return *ctx_; }
-  // The simulator process; only valid under the sim transport.
-  Process& process();
   Dstorm& dstorm() { return *dstorm_; }
   FaultMonitor& monitor() { return *monitor_; }
   Recorder& recorder() { return *recorder_; }
@@ -144,7 +142,6 @@ class Worker {
   Malt* malt_;
   int rank_;
   RankCtx* ctx_ = nullptr;
-  Process* proc_ = nullptr;  // sim transport only
   Dstorm* dstorm_ = nullptr;
   std::unique_ptr<FaultMonitor> monitor_;
   Recorder* recorder_ = nullptr;
@@ -232,6 +229,10 @@ class Malt {
   static Graph BuildDataflow(const MaltOptions& options);
   void RunSim(const std::function<void(Worker&)>& body);
   void RunShmem(const std::function<void(Worker&)>& body);
+  // One rank's lifecycle, shared by both backends: binds the rank's dstorm
+  // endpoint to `ctx`, wires the monitor/recorder/telemetry, runs `body`,
+  // then closes the last epoch and leaves the barrier group.
+  void RunWorker(int rank, RankCtx& ctx, const std::function<void(Worker&)>& body);
   // Registers the flight recorder's postmortem sections (options, metrics,
   // trace tail, watermarks, critical paths, checker report, vector clocks).
   void WireFlightRecorder();

@@ -32,6 +32,52 @@ uint32_t LoadU32(const std::byte* p) {
 void StoreU64(std::byte* p, uint64_t v) { std::memcpy(p, &v, sizeof(v)); }
 void StoreU32(std::byte* p, uint32_t v) { std::memcpy(p, &v, sizeof(v)); }
 
+// Bounds Gather's per-sender candidate list; CreateSegment rejects deeper
+// queues up front.
+constexpr int kMaxQueueDepth = 16;
+
+enum class SlotState : uint8_t {
+  kValid,        // consistent: stamps equal and nonzero
+  kEmpty,        // never written, or header mid-write
+  kTornRead,     // Transport::Read saw an overwrite in flight (shmem only)
+  kTornStamps,   // front and back stamps differ: a write in flight
+};
+
+struct SlotHeader {
+  uint64_t seq_front = 0;
+  uint64_t seq_back = 0;
+  uint32_t iter = 0;
+  uint32_t bytes = 0;
+};
+
+// The slot-validation scan every receive-side reader shares: the header,
+// then either the payload plus back stamp into `snap` (Gather's torn-read-safe
+// snapshot) or, with `snap` null, only the back stamp (the PeerIteration /
+// FreshAvailable polls). Two Transport::Read calls for any written slot.
+SlotState ReadSlot(const Transport& transport, MrHandle mr, size_t base_off, size_t obj_bytes,
+                   std::byte* snap, SlotHeader* out) {
+  std::byte header[kPayloadOff];
+  if (!transport.Read(mr, base_off, header)) {
+    return SlotState::kTornRead;
+  }
+  out->seq_front = LoadU64(header + kSeqFrontOff);
+  out->iter = LoadU32(header + kIterOff);
+  out->bytes = LoadU32(header + kBytesOff);
+  if (out->seq_front == 0 || out->bytes > obj_bytes) {
+    return SlotState::kEmpty;
+  }
+  std::byte trailer[sizeof(uint64_t)];
+  const bool read = snap != nullptr
+                        ? transport.Read(mr, base_off + kPayloadOff,
+                                         std::span<std::byte>(snap, out->bytes + sizeof(uint64_t)))
+                        : transport.Read(mr, base_off + kPayloadOff + out->bytes, trailer);
+  if (!read) {
+    return SlotState::kTornRead;
+  }
+  out->seq_back = LoadU64(snap != nullptr ? snap + out->bytes : trailer);
+  return out->seq_front == out->seq_back ? SlotState::kValid : SlotState::kTornStamps;
+}
+
 }  // namespace
 
 // --- DstormDomain -----------------------------------------------------------
@@ -88,23 +134,6 @@ Dstorm::Dstorm(DstormDomain* domain, Transport* transport, int rank, int world,
   flow_events_ = transport_->telemetry().options().flow_events;
 }
 
-void Dstorm::Bind(Process& proc) {
-  proc_ = &proc;
-  owned_ctx_ = std::make_unique<SimProcessCtx>(proc);
-  ctx_ = owned_ctx_.get();
-}
-
-void Dstorm::BindCtx(RankCtx& ctx) {
-  proc_ = nullptr;
-  owned_ctx_.reset();
-  ctx_ = &ctx;
-}
-
-Process& Dstorm::process() const {
-  MALT_CHECK(proc_ != nullptr) << "Dstorm not bound to a simulator process";
-  return *proc_;
-}
-
 Dstorm::Segment& Dstorm::GetSegment(SegmentId seg) {
   MutexLock lock(domain_->mu_);
   return segments_[static_cast<size_t>(seg)];
@@ -133,16 +162,34 @@ size_t Dstorm::SlotOffset(const Segment& s, int sender_pos, int slot) const {
 
 SegmentId Dstorm::CreateSegment(const SegmentOptions& options) {
   MALT_CHECK(options.obj_bytes > 0) << "segment object size must be positive";
-  MALT_CHECK(options.queue_depth >= 1) << "queue depth must be >= 1";
+  MALT_CHECK(options.queue_depth >= 1 && options.queue_depth <= kMaxQueueDepth)
+      << "queue depth must be in [1, " << kMaxQueueDepth << "], got " << options.queue_depth;
   MALT_CHECK(options.graph.size() == world_)
       << "dataflow graph size " << options.graph.size() << " != world " << world_;
+  return CreateCollective(options, /*accumulator=*/false);
+}
 
+SegmentId Dstorm::CreateAccumulator(size_t dim, const Graph& graph) {
+  MALT_CHECK(dim > 0) << "accumulator needs dim > 0";
+  MALT_CHECK(graph.size() == world_) << "accumulator graph size mismatch";
+  SegmentOptions options;
+  options.obj_bytes = dim * sizeof(float);
+  options.graph = graph;
+  return CreateCollective(options, /*accumulator=*/true);
+}
+
+SegmentId Dstorm::CreateCollective(const SegmentOptions& options, bool accumulator) {
   // Segment ids are assigned by per-node call order; the collective contract
   // is that every node creates the same segments in the same order. (The id
   // cannot come from segments_.size(): the first creator materializes the
   // segment on every node, so peers' lists grow before their own call.)
   const SegmentId seg_id = created_count_++;
-  const size_t stride = AlignUp8(kPayloadOff + options.obj_bytes + sizeof(uint64_t));
+  // Queue slots are header + payload + trailer, and each slot is its own
+  // guard stripe: concurrent senders own disjoint slots, so stripes never see
+  // two writers. Accumulators have no slots and no striped guard: they are
+  // add-only (element-wise atomic adds) until drained.
+  const size_t stride =
+      accumulator ? 0 : AlignUp8(kPayloadOff + options.obj_bytes + sizeof(uint64_t));
 
   // Collective registry: the first caller defines the spec and registers the
   // receive region on *every* node (the paper's synchronous segment
@@ -151,102 +198,64 @@ SegmentId Dstorm::CreateSegment(const SegmentOptions& options) {
   // caller's lock acquisition orders the first creator's appends before its
   // own data-plane use.
   MutexLock lock(domain_->mu_);
-  if (static_cast<size_t>(seg_id) >= domain_->specs_.size()) {
-    DstormDomain::SegmentSpec spec;
-    spec.options = options;
-    domain_->specs_.push_back(spec);
-    for (int node = 0; node < world_; ++node) {
-      // Receive space: one queue per in-neighbor only (a star topology's
-      // leaves keep just one queue instead of world-many). Each slot is its
-      // own guard stripe: concurrent senders own disjoint slots, so stripes
-      // never see two writers.
-      const size_t in_degree = options.graph.InEdges(node).size();
-      const size_t region_bytes =
-          in_degree * static_cast<size_t>(options.queue_depth) * stride;
-      MrHandle mr = transport_->RegisterMemory(node, region_bytes, stride);
-      MALT_CHECK(mr.rkey == static_cast<uint32_t>(seg_id) + 2)
-          << "segment rkey layout diverged on node " << node;
-      if (!transport_->NodeAlive(node)) {
-        transport_->DeregisterMemory(mr);
-      }
-      Dstorm& peer = *domain_->nodes_[static_cast<size_t>(node)];
-      // Same domain object as the lock above; the analysis cannot see
-      // through the peer's back-pointer, so state the held fact.
-      peer.domain_->mu_.AssertHeld();
-      peer.segments_.push_back(Segment{});
-      Segment& s = peer.segments_.back();
-      s.options = options;
-      s.recv_mr = mr;
-      s.slot_stride = stride;
-      s.sender_pos_at.assign(static_cast<size_t>(world_), -1);
-      for (int dst = 0; dst < world_; ++dst) {
-        const auto& in_edges = options.graph.InEdges(dst);
-        for (size_t pos = 0; pos < in_edges.size(); ++pos) {
-          if (in_edges[pos] == node) {
-            s.sender_pos_at[static_cast<size_t>(dst)] = static_cast<int>(pos);
-            break;
-          }
+  std::vector<SegmentOptions>& specs = domain_->specs_;
+  if (static_cast<size_t>(seg_id) < specs.size()) {
+    const SegmentOptions& spec = specs[static_cast<size_t>(seg_id)];
+    MALT_CHECK(spec.obj_bytes == options.obj_bytes && spec.queue_depth == options.queue_depth)
+        << "collective segment creation called with mismatched options on rank " << rank_;
+    return seg_id;
+  }
+  specs.push_back(options);
+  for (int node = 0; node < world_; ++node) {
+    // Queue receive space: one queue per in-neighbor only (a star topology's
+    // leaves keep just one queue instead of world-many). Accumulator: dim sum
+    // floats + 1 contribution-count float.
+    const size_t region_bytes =
+        accumulator ? options.obj_bytes + sizeof(float)
+                    : options.graph.InEdges(node).size() *
+                          static_cast<size_t>(options.queue_depth) * stride;
+    MrHandle mr = transport_->RegisterMemory(node, region_bytes, stride);
+    MALT_CHECK(mr.rkey == static_cast<uint32_t>(seg_id) + 2)
+        << "segment rkey layout diverged on node " << node;
+    if (!transport_->NodeAlive(node)) {
+      transport_->DeregisterMemory(mr);
+    }
+    Dstorm& peer = *domain_->nodes_[static_cast<size_t>(node)];
+    // Same domain object as the lock above; the analysis cannot see through
+    // the peer's back-pointer, so state the held fact.
+    peer.domain_->mu_.AssertHeld();
+    peer.segments_.push_back(Segment{});
+    Segment& s = peer.segments_.back();
+    s.options = options;
+    s.accumulator = accumulator;
+    s.recv_mr = mr;
+    if (accumulator) {
+      continue;
+    }
+    s.slot_stride = stride;
+    s.sender_pos_at.assign(static_cast<size_t>(world_), -1);
+    for (int dst = 0; dst < world_; ++dst) {
+      const auto& in_edges = options.graph.InEdges(dst);
+      for (size_t pos = 0; pos < in_edges.size(); ++pos) {
+        if (in_edges[pos] == node) {
+          s.sender_pos_at[static_cast<size_t>(dst)] = static_cast<int>(pos);
+          break;
         }
       }
-      s.next_send_seq.assign(static_cast<size_t>(world_), 0);
-      s.next_send_slot.assign(static_cast<size_t>(world_), 0);
-      s.last_consumed.assign(static_cast<size_t>(world_), 0);
-      ProtocolChecker& checker = transport_->checker();
-      if (checker.enabled()) {
-        ProtocolChecker::SegmentLayout layout;
-        layout.slot_stride = stride;
-        layout.obj_bytes = options.obj_bytes;
-        layout.queue_depth = options.queue_depth;
-        layout.senders = options.graph.InEdges(node);
-        checker.OnSegmentCreate(node, mr.rkey, seg_id, std::move(layout));
-      }
     }
-  } else {
-    const DstormDomain::SegmentSpec& spec = domain_->specs_[static_cast<size_t>(seg_id)];
-    MALT_CHECK(spec.options.obj_bytes == options.obj_bytes &&
-               spec.options.queue_depth == options.queue_depth)
-        << "collective CreateSegment called with mismatched options on rank " << rank_;
-  }
-  ++domain_->specs_[static_cast<size_t>(seg_id)].creators;
-  return seg_id;
-}
-
-SegmentId Dstorm::CreateAccumulator(size_t dim, const Graph& graph) {
-  MALT_CHECK(dim > 0) << "accumulator needs dim > 0";
-  MALT_CHECK(graph.size() == world_) << "accumulator graph size mismatch";
-  const SegmentId seg_id = created_count_++;
-  // Region: dim sum floats + 1 contribution-count float. No striped guard:
-  // accumulators are add-only (element-wise atomic adds) until drained.
-  const size_t region_bytes = (dim + 1) * sizeof(float);
-
-  MutexLock lock(domain_->mu_);
-  if (static_cast<size_t>(seg_id) >= domain_->specs_.size()) {
-    DstormDomain::SegmentSpec spec;
-    spec.options.obj_bytes = dim * sizeof(float);
-    spec.options.graph = graph;
-    domain_->specs_.push_back(spec);
-    for (int node = 0; node < world_; ++node) {
-      MrHandle mr = transport_->RegisterMemory(node, region_bytes);
-      MALT_CHECK(mr.rkey == static_cast<uint32_t>(seg_id) + 2)
-          << "segment rkey layout diverged on node " << node;
-      if (!transport_->NodeAlive(node)) {
-        transport_->DeregisterMemory(mr);
-      }
-      Dstorm& peer = *domain_->nodes_[static_cast<size_t>(node)];
-      peer.domain_->mu_.AssertHeld();  // same domain object as the lock above
-      peer.segments_.push_back(Segment{});
-      Segment& s = peer.segments_.back();
-      s.options.obj_bytes = dim * sizeof(float);
-      s.options.graph = graph;
-      s.accumulator = true;
-      s.recv_mr = mr;
+    s.next_send_seq.assign(static_cast<size_t>(world_), 0);
+    s.next_send_slot.assign(static_cast<size_t>(world_), 0);
+    s.last_consumed.assign(static_cast<size_t>(world_), 0);
+    ProtocolChecker& checker = transport_->checker();
+    if (checker.enabled()) {
+      ProtocolChecker::SegmentLayout layout;
+      layout.slot_stride = stride;
+      layout.obj_bytes = options.obj_bytes;
+      layout.queue_depth = options.queue_depth;
+      layout.senders = options.graph.InEdges(node);
+      checker.OnSegmentCreate(node, mr.rkey, seg_id, std::move(layout));
     }
-  } else {
-    const DstormDomain::SegmentSpec& spec = domain_->specs_[static_cast<size_t>(seg_id)];
-    MALT_CHECK(spec.options.obj_bytes == dim * sizeof(float))
-        << "collective CreateAccumulator called with mismatched dim on rank " << rank_;
   }
-  ++domain_->specs_[static_cast<size_t>(seg_id)].creators;
   return seg_id;
 }
 
@@ -381,7 +390,6 @@ int Dstorm::Gather(SegmentId seg, const std::function<void(const RecvObject&)>& 
 
   const auto& in_edges = s.options.graph.InEdges(rank_);
   const int depth = s.options.queue_depth;
-  MALT_CHECK(depth <= 16) << "queue depth > 16 unsupported";
   // Snapshot arena: each candidate slot's payload + back stamp is copied out
   // through Transport::Read (torn-read detecting) before consume() ever sees
   // it, so under the shmem transport a sender overwriting the slot mid-read
@@ -397,91 +405,71 @@ int Dstorm::Gather(SegmentId seg, const std::function<void(const RecvObject&)>& 
     }
     // Collect fresh consistent slots from this sender, oldest first.
     struct Fresh {
-      uint64_t seq;
+      SlotHeader h;
       int slot;
-      uint32_t iter;
-      uint32_t bytes;
+      const std::byte* snap;
     };
-    Fresh fresh[16];
+    Fresh fresh[kMaxQueueDepth];
     int fresh_count = 0;
     for (int slot = 0; slot < depth; ++slot) {
-      const size_t base_off = SlotOffset(s, static_cast<int>(pos), slot);
-      std::byte header[kPayloadOff];
-      if (!transport_->Read(s.recv_mr, base_off, header)) {
-        c_torn_skipped_->Add(1);
-        continue;  // overwrite in flight (shmem); the simulator never fails
-      }
-      const uint64_t seq_front = LoadU64(header + kSeqFrontOff);
-      const uint32_t bytes = LoadU32(header + kBytesOff);
-      if (seq_front == 0 || bytes > s.options.obj_bytes) {
-        continue;  // never written, or header mid-write
-      }
       std::byte* snap = s.gather_arena.data() +
                         (pos * static_cast<size_t>(depth) + static_cast<size_t>(slot)) *
                             arena_stride;
-      if (!transport_->Read(s.recv_mr, base_off + kPayloadOff,
-                            std::span<std::byte>(snap, bytes + sizeof(uint64_t)))) {
-        c_torn_skipped_->Add(1);
+      SlotHeader h;
+      const SlotState state = ReadSlot(*transport_, s.recv_mr,
+                                       SlotOffset(s, static_cast<int>(pos), slot),
+                                       s.options.obj_bytes, snap, &h);
+      if (state == SlotState::kEmpty) {
         continue;
       }
-      const uint64_t seq_back = LoadU64(snap + bytes);
-      if (seq_front != seq_back) {
+      if (state != SlotState::kValid) {
         c_torn_skipped_->Add(1);
-        if (checking) {
-          checker.OnSlotRead(rank_, s.recv_mr.rkey, static_cast<int>(pos), slot, seq_front,
-                             seq_back, LoadU32(header + kIterOff), {},
-                             ProtocolChecker::ReadAction::kSkippedTorn, check_now);
+        if (checking && state == SlotState::kTornStamps) {
+          checker.OnSlotRead(rank_, s.recv_mr.rkey, static_cast<int>(pos), slot, h.seq_front,
+                             h.seq_back, h.iter, {}, ProtocolChecker::ReadAction::kSkippedTorn,
+                             check_now);
         }
         continue;  // torn (write in flight) — skip, the paper's atomic gather
       }
-      if (seq_front <= s.last_consumed[static_cast<size_t>(sender)]) {
+      if (h.seq_front <= s.last_consumed[static_cast<size_t>(sender)]) {
         if (checking) {
-          checker.OnSlotRead(rank_, s.recv_mr.rkey, static_cast<int>(pos), slot, seq_front,
-                             seq_back, LoadU32(header + kIterOff), {},
-                             ProtocolChecker::ReadAction::kSkippedStale, check_now);
+          checker.OnSlotRead(rank_, s.recv_mr.rkey, static_cast<int>(pos), slot, h.seq_front,
+                             h.seq_back, h.iter, {}, ProtocolChecker::ReadAction::kSkippedStale,
+                             check_now);
         }
         continue;  // already folded
       }
-      fresh[fresh_count++] = Fresh{seq_front, slot, LoadU32(header + kIterOff), bytes};
+      fresh[fresh_count++] = Fresh{h, slot, snap};
     }
     std::sort(fresh, fresh + fresh_count,
-              [](const Fresh& a, const Fresh& b) { return a.seq < b.seq; });
+              [](const Fresh& a, const Fresh& b) { return a.h.seq_front < b.h.seq_front; });
     for (int i = 0; i < fresh_count; ++i) {
-      const std::byte* snap =
-          s.gather_arena.data() +
-          (pos * static_cast<size_t>(depth) + static_cast<size_t>(fresh[i].slot)) *
-              arena_stride;
+      const uint64_t seq = fresh[i].h.seq_front;
       RecvObject obj;
       obj.sender = sender;
-      obj.iter = fresh[i].iter;
-      obj.bytes = std::span<const std::byte>(snap, fresh[i].bytes);
+      obj.iter = fresh[i].h.iter;
+      obj.bytes = std::span<const std::byte>(fresh[i].snap, fresh[i].h.bytes);
       if (checking) {
         // Stamps were validated equal in the snapshot above.
-        checker.OnSlotRead(rank_, s.recv_mr.rkey, static_cast<int>(pos), fresh[i].slot,
-                           fresh[i].seq, fresh[i].seq, fresh[i].iter, obj.bytes,
-                           ProtocolChecker::ReadAction::kConsumed, check_now);
+        checker.OnSlotRead(rank_, s.recv_mr.rkey, static_cast<int>(pos), fresh[i].slot, seq, seq,
+                           obj.iter, obj.bytes, ProtocolChecker::ReadAction::kConsumed, check_now);
       }
       if (flow_events_) {
         // Close the update's lineage: same flow id the sender computed at
         // post time (src, dst, rkey, wire seq), now landing in the reader's
         // gather span.
-        telemetry_->trace.FlowFinish(
-            kFlowUpdateName, check_now,
-            MakeFlowId(sender, rank_, s.recv_mr.rkey, fresh[i].seq),
-            static_cast<int64_t>(fresh[i].iter));
+        telemetry_->trace.FlowFinish(kFlowUpdateName, check_now,
+                                     MakeFlowId(sender, rank_, s.recv_mr.rkey, seq),
+                                     static_cast<int64_t>(obj.iter));
       }
       consume(obj);
       const uint64_t previous = s.last_consumed[static_cast<size_t>(sender)];
-      if (fresh[i].seq > previous + 1 && previous != 0) {
-        const int64_t gap = static_cast<int64_t>(fresh[i].seq - previous - 1);
-        s.lost_updates += gap;
-        c_overwrites_->Add(gap);
-      } else if (previous == 0 && fresh[i].seq > 1 && i == 0) {
-        const int64_t gap = static_cast<int64_t>(fresh[i].seq - 1);
-        s.lost_updates += gap;
-        c_overwrites_->Add(gap);
+      if (seq > previous + 1 && previous != 0) {
+        c_overwrites_->Add(static_cast<int64_t>(seq - previous - 1));
+      } else if (previous == 0 && seq > 1 && i == 0) {
+        c_overwrites_->Add(static_cast<int64_t>(seq - 1));
       }
-      s.last_consumed[static_cast<size_t>(sender)] = fresh[i].seq;
+      s.last_consumed[static_cast<size_t>(sender)] = seq;
       ++consumed;
     }
   }
@@ -500,24 +488,12 @@ int64_t Dstorm::PeerIteration(SegmentId seg, int sender) const {
   const int pos = static_cast<int>(it - in_edges.begin());
   int64_t best = -1;
   for (int slot = 0; slot < s.options.queue_depth; ++slot) {
-    const size_t base_off = SlotOffset(s, pos, slot);
-    std::byte header[kPayloadOff];
-    if (!transport_->Read(s.recv_mr, base_off, header)) {
-      continue;  // overwrite in flight; the stamp will be visible next poll
+    // A torn slot is skipped: its stamp will be visible next poll.
+    SlotHeader h;
+    if (ReadSlot(*transport_, s.recv_mr, SlotOffset(s, pos, slot), s.options.obj_bytes, nullptr,
+                 &h) == SlotState::kValid) {
+      best = std::max(best, static_cast<int64_t>(h.iter));
     }
-    const uint64_t seq_front = LoadU64(header + kSeqFrontOff);
-    const uint32_t bytes = LoadU32(header + kBytesOff);
-    if (seq_front == 0 || bytes > s.options.obj_bytes) {
-      continue;
-    }
-    std::byte trailer[sizeof(uint64_t)];
-    if (!transport_->Read(s.recv_mr, base_off + kPayloadOff + bytes, trailer)) {
-      continue;
-    }
-    if (seq_front != LoadU64(trailer)) {
-      continue;
-    }
-    best = std::max(best, static_cast<int64_t>(LoadU32(header + kIterOff)));
   }
   return best;
 }
@@ -531,30 +507,16 @@ bool Dstorm::FreshAvailable(SegmentId seg) const {
       continue;
     }
     for (int slot = 0; slot < s.options.queue_depth; ++slot) {
-      const size_t base_off = SlotOffset(s, static_cast<int>(pos), slot);
-      std::byte header[kPayloadOff];
-      if (!transport_->Read(s.recv_mr, base_off, header)) {
-        continue;
-      }
-      const uint64_t seq_front = LoadU64(header + kSeqFrontOff);
-      const uint32_t bytes = LoadU32(header + kBytesOff);
-      if (seq_front == 0 || bytes > s.options.obj_bytes) {
-        continue;
-      }
-      std::byte trailer[sizeof(uint64_t)];
-      if (!transport_->Read(s.recv_mr, base_off + kPayloadOff + bytes, trailer)) {
-        continue;
-      }
-      if (seq_front == LoadU64(trailer) &&
-          seq_front > s.last_consumed[static_cast<size_t>(sender)]) {
+      SlotHeader h;
+      if (ReadSlot(*transport_, s.recv_mr, SlotOffset(s, static_cast<int>(pos), slot),
+                   s.options.obj_bytes, nullptr, &h) == SlotState::kValid &&
+          h.seq_front > s.last_consumed[static_cast<size_t>(sender)]) {
         return true;
       }
     }
   }
   return false;
 }
-
-int64_t Dstorm::LostUpdates(SegmentId seg) const { return GetSegment(seg).lost_updates; }
 
 void Dstorm::DrainCompletions() {
   Completion batch[32];

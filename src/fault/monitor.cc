@@ -3,6 +3,7 @@
 #include <exception>
 
 #include "src/base/log.h"
+#include "src/base/process_killed.h"
 
 namespace malt {
 

@@ -19,9 +19,9 @@
 #include <thread>
 
 #include "src/base/mc.h"
+#include "src/base/process_killed.h"
 #include "src/comm/transport.h"
 #include "src/shmem/clock.h"
-#include "src/sim/engine.h"  // ProcessKilled
 
 namespace malt {
 

@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "src/base/mutex.h"
+#include "src/base/process_killed.h"
 #include "src/base/status.h"
 #include "src/base/thread_annotations.h"
 #include "src/base/time_units.h"
@@ -42,13 +43,6 @@
 namespace malt {
 
 class Engine;
-
-// Thrown inside a process thread when the process has been killed; the engine
-// catches it at the top of the process wrapper. Training code may catch and
-// rethrow it (e.g. RAII cleanup) but must not swallow it.
-struct ProcessKilled {
-  int pid;
-};
 
 enum class ProcState : uint8_t {
   kRunnable,  // wants the baton

@@ -1,8 +1,8 @@
 // Simulated RDMA fabric: the verbs one-sided-write subset that dstorm needs
 // (the simulator backend of the Transport interface, src/comm/transport.h).
 //
-// The paper's dstorm runs over GASPI/InfiniBand and relies on three hardware
-// properties, all preserved here:
+// The paper's dstorm runs over one-sided RDMA on InfiniBand and relies on three
+// hardware properties, all preserved here:
 //   1. One-sidedness — a remote write lands in the destination's registered
 //      memory without involving the destination CPU. In the simulator the
 //      payload is snapshotted at post time (DMA read) and applied by the

@@ -169,26 +169,7 @@ std::vector<MaltVector::Decoded> MaltVector::Collect(int64_t min_iter) {
   return updates;
 }
 
-GatherResult MaltVector::FoldAll(const std::vector<Decoded>& updates, const FoldFn& fold) {
-  GatherResult result;
-  for (const Decoded& d : updates) {
-    IncomingUpdate update{d.sender, d.iter, d.indices, d.values};
-    fold(local_, update);
-    ++result.received;
-    result.values_folded += static_cast<int64_t>(d.values.size());
-    const int64_t iter = static_cast<int64_t>(d.iter);
-    result.min_iter = result.min_iter < 0 ? iter : std::min(result.min_iter, iter);
-    result.max_iter = std::max(result.max_iter, iter);
-  }
-  c_values_folded_->Add(result.values_folded);
-  return result;
-}
-
-GatherResult MaltVector::GatherAverage(int64_t min_iter) {
-  std::vector<Decoded> updates = Collect(min_iter);
-  if (updates.empty()) {
-    return GatherResult{};
-  }
+GatherResult MaltVector::Tally(const std::vector<Decoded>& updates) {
   GatherResult result;
   result.received = static_cast<int>(updates.size());
   for (const Decoded& d : updates) {
@@ -198,6 +179,22 @@ GatherResult MaltVector::GatherAverage(int64_t min_iter) {
     result.max_iter = std::max(result.max_iter, iter);
   }
   c_values_folded_->Add(result.values_folded);
+  return result;
+}
+
+GatherResult MaltVector::FoldAll(const std::vector<Decoded>& updates, const FoldFn& fold) {
+  for (const Decoded& d : updates) {
+    fold(local_, IncomingUpdate{d.sender, d.iter, d.indices, d.values});
+  }
+  return Tally(updates);
+}
+
+GatherResult MaltVector::GatherAverage(int64_t min_iter) {
+  const std::vector<Decoded> updates = Collect(min_iter);
+  const GatherResult result = Tally(updates);
+  if (updates.empty()) {
+    return result;
+  }
 
   // local = (local + sum incoming) / (1 + k). For sparse updates only the
   // touched coordinates participate (per-coordinate k = number of updates

@@ -115,9 +115,6 @@ class MaltVector {
   // True when a gather would fold at least one fresh update (poll predicate).
   bool FreshAvailable() const { return dstorm_.FreshAvailable(segment_); }
 
-  // Peer updates lost to overwrite-on-full (sequence gaps seen at gather).
-  int64_t LostUpdates() const { return dstorm_.LostUpdates(segment_); }
-
   // Bytes one scatter sends per destination (for traffic intuition/tests).
   size_t wire_bytes() const { return obj_bytes_; }
 
@@ -137,6 +134,9 @@ class MaltVector {
   // which is stable until this process yields to the scheduler — the fold
   // runs synchronously, so no copy is needed.
   std::vector<Decoded> Collect(int64_t min_iter);
+  // The per-gather tally every fold shares (received, values folded, stamp
+  // range), charged to vol.values_folded.
+  GatherResult Tally(const std::vector<Decoded>& updates);
   GatherResult FoldAll(const std::vector<Decoded>& updates, const FoldFn& fold);
   [[nodiscard]] Status EncodeAndScatter(std::span<const int>* dsts);
   // Records the outgoing stamp with the protocol checker (monotonicity).

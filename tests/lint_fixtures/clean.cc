@@ -4,6 +4,7 @@
 // Not compiled.
 
 #include "src/base/mutex.h"
+#include "src/sim/engine.h"  // the runtime owns the simulator: allowed in src/core/
 
 class GoodLocking {
  public:

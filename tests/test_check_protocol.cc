@@ -15,9 +15,7 @@
 
 #include "src/check/check.h"
 #include "src/comm/graph.h"
-#include "src/dstorm/dstorm.h"
-#include "src/sim/engine.h"
-#include "src/simnet/fabric.h"
+#include "tests/sim_cluster.h"
 
 namespace malt {
 namespace {
@@ -366,53 +364,43 @@ TEST(CheckIntegration, RogueNoSeqlockWriterCaughtOnRealFabric) {
   // fabric into rank 1's receive region. Expect exactly one seqlock_protocol
   // violation at apply time; rank 1's gather must skip the torn slot without
   // consuming it (and without any spurious-skip or escape reports).
-  Engine engine;
   ProtocolChecker checker(CheckLevel::kFull, 2);
-  FabricOptions fopts;
-  fopts.net.latency = 1000;
-  fopts.net.bandwidth_bytes_per_sec = 1e9;
-  fopts.net.per_message_overhead = 0;
-  Fabric fabric(engine, 2, fopts, nullptr, &checker);
-  DstormDomain domain(engine, fabric, 2);
+  SimCluster cluster(2, FastNet(), &checker);
+  Fabric& fabric = cluster.fabric;
   int first_gather = -1;
   int second_gather = -1;
 
-  for (int rank = 0; rank < 2; ++rank) {
-    engine.AddProcess("r" + std::to_string(rank), [&, rank](Process& p) {
-      Dstorm& d = domain.node(rank);
-      d.Bind(p);
-      SegmentOptions opts;
-      opts.obj_bytes = 8;
-      opts.graph = RingGraph(2);
-      opts.queue_depth = 2;
-      const SegmentId seg = d.CreateSegment(opts);
-      if (rank == 0) {
-        const auto payload = Payload(8, 0x42);
-        ASSERT_TRUE(d.Scatter(seg, payload, 1).ok());
-        ASSERT_TRUE(d.Flush().ok());
-        ASSERT_TRUE(d.Barrier().ok());  // B1: rank 1 gathers the clean object
-        ASSERT_TRUE(d.Barrier().ok());  // B2: gather done
-        // Segment receive regions are registered after the barrier counters
-        // (rkey 0) and probe scratch (rkey 1), so segment `seg` lives at
-        // rkey seg + 2 on every node — the same computation a sender does.
-        MrHandle victim;
-        victim.node = 1;
-        victim.rkey = static_cast<uint32_t>(seg) + 2;
-        const auto rogue = SlotImage(5, 2, Payload(8, 0x66), 4);
-        p.WaitUntil([&] { return fabric.HasSendRoom(0); });
-        ASSERT_TRUE(fabric.PostWrite(0, p.now(), victim, 0, rogue).ok());
-        ASSERT_TRUE(d.Flush().ok());    // completion implies the write applied
-        ASSERT_TRUE(d.Barrier().ok());  // B3: rank 1 may gather again
-      } else {
-        ASSERT_TRUE(d.Barrier().ok());  // B1
-        first_gather = d.Gather(seg, [](const RecvObject&) {});
-        ASSERT_TRUE(d.Barrier().ok());  // B2
-        ASSERT_TRUE(d.Barrier().ok());  // B3
-        second_gather = d.Gather(seg, [](const RecvObject&) {});
-      }
-    });
-  }
-  engine.Run();
+  cluster.Run([&](int rank, Dstorm& d, Process& p) {
+    SegmentOptions opts;
+    opts.obj_bytes = 8;
+    opts.graph = RingGraph(2);
+    opts.queue_depth = 2;
+    const SegmentId seg = d.CreateSegment(opts);
+    if (rank == 0) {
+      const auto payload = Payload(8, 0x42);
+      ASSERT_TRUE(d.Scatter(seg, payload, 1).ok());
+      ASSERT_TRUE(d.Flush().ok());
+      ASSERT_TRUE(d.Barrier().ok());  // B1: rank 1 gathers the clean object
+      ASSERT_TRUE(d.Barrier().ok());  // B2: gather done
+      // Segment receive regions are registered after the barrier counters
+      // (rkey 0) and probe scratch (rkey 1), so segment `seg` lives at
+      // rkey seg + 2 on every node — the same computation a sender does.
+      MrHandle victim;
+      victim.node = 1;
+      victim.rkey = static_cast<uint32_t>(seg) + 2;
+      const auto rogue = SlotImage(5, 2, Payload(8, 0x66), 4);
+      p.WaitUntil([&] { return fabric.HasSendRoom(0); });
+      ASSERT_TRUE(fabric.PostWrite(0, p.now(), victim, 0, rogue).ok());
+      ASSERT_TRUE(d.Flush().ok());    // completion implies the write applied
+      ASSERT_TRUE(d.Barrier().ok());  // B3: rank 1 may gather again
+    } else {
+      ASSERT_TRUE(d.Barrier().ok());  // B1
+      first_gather = d.Gather(seg, [](const RecvObject&) {});
+      ASSERT_TRUE(d.Barrier().ok());  // B2
+      ASSERT_TRUE(d.Barrier().ok());  // B3
+      second_gather = d.Gather(seg, [](const RecvObject&) {});
+    }
+  });
 
   EXPECT_EQ(first_gather, 1);
   EXPECT_EQ(second_gather, 0) << "the torn slot must not be consumed";
@@ -432,46 +420,36 @@ TEST(CheckIntegration, TornWriteSimulationIsCleanUnderFullCheck) {
   // protocol holds: gathers skip every torn slot, and the full-level checker
   // (payload hashes on) must find nothing — the zero-false-positive property
   // on the hardest clean path.
-  Engine engine;
   ProtocolChecker checker(CheckLevel::kFull, 3);
-  FabricOptions fopts;
-  fopts.net.latency = 1000;                    // 1 us
-  fopts.net.bandwidth_bytes_per_sec = 1e9;     // 4 KB serializes in ~4 us
-  fopts.net.per_message_overhead = 0;
+  FabricOptions fopts = FastNet();  // 1 us latency; 4 KB serializes in ~4 us
   fopts.torn_writes = true;
-  Fabric fabric(engine, 3, fopts, nullptr, &checker);
-  DstormDomain domain(engine, fabric, 3);
+  SimCluster cluster(3, fopts, &checker);
   constexpr size_t kBytes = 4096;
 
-  for (int rank = 0; rank < 3; ++rank) {
-    engine.AddProcess("r" + std::to_string(rank), [&, rank](Process& p) {
-      Dstorm& d = domain.node(rank);
-      d.Bind(p);
-      SegmentOptions opts;
-      opts.obj_bytes = kBytes;
-      opts.graph = AllToAllGraph(3);
-      opts.queue_depth = 2;
-      const SegmentId seg = d.CreateSegment(opts);
-      if (rank != 0) {
-        std::vector<std::byte> payload(kBytes);
-        for (uint32_t iter = 1; iter <= 200; ++iter) {
-          std::memset(payload.data(), static_cast<int>(iter & 0xFF), payload.size());
-          (void)d.Scatter(seg, payload, iter);
-          p.Advance(5000);
-        }
-        (void)d.Flush();
-        return;
+  cluster.Run([&](int rank, Dstorm& d, Process& p) {
+    SegmentOptions opts;
+    opts.obj_bytes = kBytes;
+    opts.graph = AllToAllGraph(3);
+    opts.queue_depth = 2;
+    const SegmentId seg = d.CreateSegment(opts);
+    if (rank != 0) {
+      std::vector<std::byte> payload(kBytes);
+      for (uint32_t iter = 1; iter <= 200; ++iter) {
+        std::memset(payload.data(), static_cast<int>(iter & 0xFF), payload.size());
+        (void)d.Scatter(seg, payload, iter);
+        p.Advance(5000);
       }
-      for (int poll = 0; poll < 300; ++poll) {
-        p.Advance(997);  // polls inside the senders' ~4 us torn windows
-        d.Gather(seg, [](const RecvObject&) {});
-      }
-    });
-  }
-  engine.Run();
+      (void)d.Flush();
+      return;
+    }
+    for (int poll = 0; poll < 300; ++poll) {
+      p.Advance(997);  // polls inside the senders' ~4 us torn windows
+      d.Gather(seg, [](const RecvObject&) {});
+    }
+  });
 
   // The torn path was actually exercised...
-  EXPECT_GE(fabric.telemetry().rank(0).metrics.GetCounter("dstorm.torn_slots_skipped")->value(),
+  EXPECT_GE(cluster.fabric.telemetry().rank(0).metrics.GetCounter("dstorm.torn_slots_skipped")->value(),
             1);
   // ...and the checker certified every read decision against its ledger.
   EXPECT_GT(checker.events_checked(), 0);

@@ -11,48 +11,18 @@
 #include <vector>
 
 #include "src/comm/graph.h"
-#include "src/simnet/fabric.h"
+#include "tests/sim_cluster.h"
 
 namespace malt {
 namespace {
-
-FabricOptions FastNet() {
-  FabricOptions opts;
-  opts.net.latency = 1000;
-  opts.net.bandwidth_bytes_per_sec = 1e9;
-  opts.net.per_message_overhead = 0;
-  return opts;
-}
 
 std::span<const std::byte> AsBytes(const void* p, size_t n) {
   return {static_cast<const std::byte*>(p), n};
 }
 
-// Test harness: runs `body(rank, dstorm, process)` on every node.
-struct DstormCluster {
-  explicit DstormCluster(int n, FabricOptions opts = FastNet())
-      : engine(), fabric(engine, n, opts), domain(engine, fabric, n) {}
-
-  void Run(const std::function<void(int, Dstorm&, Process&)>& body) {
-    const int n = domain.size();
-    for (int rank = 0; rank < n; ++rank) {
-      engine.AddProcess("rank" + std::to_string(rank), [this, rank, body](Process& p) {
-        Dstorm& d = domain.node(rank);
-        d.Bind(p);
-        body(rank, d, p);
-      });
-    }
-    engine.Run();
-  }
-
-  Engine engine;
-  Fabric fabric;
-  DstormDomain domain;
-};
-
 TEST(Dstorm, ScatterGatherAllToAll) {
   const int n = 4;
-  DstormCluster cluster(n);
+  SimCluster cluster(n);
   std::vector<std::map<int, double>> received(n);  // [rank][sender] -> value
 
   cluster.Run([&](int rank, Dstorm& d, Process& p) {
@@ -90,7 +60,7 @@ TEST(Dstorm, ScatterGatherAllToAll) {
 
 TEST(Dstorm, GatherOnlySeesInNeighbors) {
   const int n = 4;
-  DstormCluster cluster(n);
+  SimCluster cluster(n);
   std::vector<std::vector<int>> senders_seen(n);
 
   cluster.Run([&](int rank, Dstorm& d, Process&) {
@@ -113,7 +83,7 @@ TEST(Dstorm, GatherOnlySeesInNeighbors) {
 }
 
 TEST(Dstorm, FreshnessNoDoubleConsume) {
-  DstormCluster cluster(2);
+  SimCluster cluster(2);
   cluster.Run([&](int rank, Dstorm& d, Process&) {
     SegmentOptions opts;
     opts.obj_bytes = sizeof(int);
@@ -130,7 +100,7 @@ TEST(Dstorm, FreshnessNoDoubleConsume) {
 TEST(Dstorm, OverwriteOnFullKeepsNewest) {
   // Sender pushes 5 objects into a depth-2 queue before the receiver looks:
   // only the newest 2 survive, oldest-first order.
-  DstormCluster cluster(2);
+  SimCluster cluster(2);
   std::vector<int> values;
   cluster.Run([&](int rank, Dstorm& d, Process& p) {
     SegmentOptions opts;
@@ -160,7 +130,7 @@ TEST(Dstorm, OverwriteOnFullKeepsNewest) {
 }
 
 TEST(Dstorm, PeerIterationTracksNewestVisible) {
-  DstormCluster cluster(2);
+  SimCluster cluster(2);
   cluster.Run([&](int rank, Dstorm& d, Process&) {
     SegmentOptions opts;
     opts.obj_bytes = sizeof(int);
@@ -190,7 +160,7 @@ TEST(Dstorm, TornWriteSkippedThenConsumed) {
   FabricOptions opts = FastNet();
   opts.torn_writes = true;
   opts.net.latency = 1'000'000;  // big gap between the halves
-  DstormCluster cluster(2, opts);
+  SimCluster cluster(2, opts);
   int consumed_mid = -1;
   int consumed_late = -1;
 
@@ -225,7 +195,7 @@ TEST(Dstorm, TornWriteSkippedThenConsumed) {
 
 TEST(Dstorm, BarrierSynchronizesClocks) {
   const int n = 3;
-  DstormCluster cluster(n);
+  SimCluster cluster(n);
   std::vector<SimTime> after(n);
   cluster.Run([&](int rank, Dstorm& d, Process& p) {
     SegmentOptions opts;
@@ -243,7 +213,7 @@ TEST(Dstorm, BarrierSynchronizesClocks) {
 }
 
 TEST(Dstorm, BarrierTimeoutOnDeadPeer) {
-  DstormCluster cluster(2);
+  SimCluster cluster(2);
   Status barrier_status;
   cluster.engine.ScheduleKill(1, 500);
   cluster.Run([&](int rank, Dstorm& d, Process& p) {
@@ -257,7 +227,7 @@ TEST(Dstorm, BarrierTimeoutOnDeadPeer) {
 }
 
 TEST(Dstorm, BarrierProceedsAfterRemoval) {
-  DstormCluster cluster(3);
+  SimCluster cluster(3);
   cluster.engine.ScheduleKill(2, 100);
   std::vector<bool> completed(3, false);
   cluster.Run([&](int rank, Dstorm& d, Process& p) {
@@ -274,7 +244,7 @@ TEST(Dstorm, BarrierProceedsAfterRemoval) {
 }
 
 TEST(Dstorm, ScatterSkipsRemovedMembers) {
-  DstormCluster cluster(3);
+  SimCluster cluster(3);
   cluster.Run([&](int rank, Dstorm& d, Process&) {
     SegmentOptions opts;
     opts.obj_bytes = sizeof(int);
@@ -292,7 +262,7 @@ TEST(Dstorm, ScatterSkipsRemovedMembers) {
 }
 
 TEST(Dstorm, ProbePeerDetectsDeath) {
-  DstormCluster cluster(2);
+  SimCluster cluster(2);
   // Kill node 1 at 1 ms — after the first probe completes (a probe's RTT is
   // a few microseconds), before the second.
   cluster.engine.ScheduleKill(1, 1'000'000);
@@ -312,7 +282,7 @@ TEST(Dstorm, ProbePeerDetectsDeath) {
 }
 
 TEST(Dstorm, SparsePayloadSmallerThanObjBytes) {
-  DstormCluster cluster(2);
+  SimCluster cluster(2);
   cluster.Run([&](int rank, Dstorm& d, Process&) {
     SegmentOptions opts;
     opts.obj_bytes = 256;
@@ -331,7 +301,7 @@ TEST(Dstorm, SparsePayloadSmallerThanObjBytes) {
 }
 
 TEST(Dstorm, OversizedPayloadRejected) {
-  DstormCluster cluster(2);
+  SimCluster cluster(2);
   cluster.Run([&](int rank, Dstorm& d, Process&) {
     SegmentOptions opts;
     opts.obj_bytes = 8;
@@ -346,7 +316,7 @@ TEST(Dstorm, OversizedPayloadRejected) {
 }
 
 TEST(Dstorm, MultipleSegmentsIndependent) {
-  DstormCluster cluster(2);
+  SimCluster cluster(2);
   cluster.Run([&](int rank, Dstorm& d, Process&) {
     SegmentOptions a;
     a.obj_bytes = sizeof(int);
@@ -375,7 +345,7 @@ TEST(Dstorm, MultipleSegmentsIndependent) {
 TEST(Dstorm, FinishedRankDoesNotBlockBarriers) {
   // A rank that completes training publishes an "infinite" barrier counter;
   // peers running more rounds must pass their remaining barriers without it.
-  DstormCluster cluster(3);
+  SimCluster cluster(3);
   std::vector<int> rounds_done(3, 0);
   cluster.Run([&](int rank, Dstorm& d, Process&) {
     const int my_rounds = rank == 0 ? 2 : 5;  // rank 0 finishes early
@@ -392,7 +362,7 @@ TEST(Dstorm, FinishedRankDoesNotBlockBarriers) {
 
 TEST(Dstorm, ScatterToSubset) {
   const int n = 4;
-  DstormCluster cluster(n);
+  SimCluster cluster(n);
   std::vector<int> gathered(n, 0);
   cluster.Run([&](int rank, Dstorm& d, Process&) {
     SegmentOptions opts;
@@ -411,6 +381,19 @@ TEST(Dstorm, ScatterToSubset) {
   EXPECT_EQ(gathered[1], 1);
   EXPECT_EQ(gathered[2], 0);
   EXPECT_EQ(gathered[3], 1);
+}
+
+TEST(DstormDeathTest, QueueDepthAboveSixteenRejectedAtCreation) {
+  // Gather bounds its per-sender scan at 16 slots, so a deeper queue must be
+  // refused before any receive memory is registered, not mid-training.
+  SimCluster cluster(2);
+  SegmentOptions opts;
+  opts.obj_bytes = 8;
+  opts.graph = AllToAllGraph(2);
+  opts.queue_depth = 17;
+  EXPECT_DEATH((void)cluster.domain.node(0).CreateSegment(opts), "queue depth must be in");
+  opts.queue_depth = 16;  // the largest supported depth is accepted
+  EXPECT_EQ(cluster.domain.node(0).CreateSegment(opts), 0);
 }
 
 }  // namespace

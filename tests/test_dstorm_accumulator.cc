@@ -6,41 +6,14 @@
 
 #include "src/comm/graph.h"
 #include "src/dstorm/dstorm.h"
-#include "src/simnet/fabric.h"
+#include "tests/sim_cluster.h"
 
 namespace malt {
 namespace {
 
-FabricOptions FastNet() {
-  FabricOptions opts;
-  opts.net.latency = 1000;
-  opts.net.bandwidth_bytes_per_sec = 1e9;
-  opts.net.per_message_overhead = 0;
-  return opts;
-}
-
-struct AccCluster {
-  explicit AccCluster(int n) : engine(), fabric(engine, n, FastNet()), domain(engine, fabric, n) {}
-
-  void Run(const std::function<void(int, Dstorm&, Process&)>& body) {
-    for (int rank = 0; rank < domain.size(); ++rank) {
-      engine.AddProcess("rank" + std::to_string(rank), [this, rank, body](Process& p) {
-        Dstorm& d = domain.node(rank);
-        d.Bind(p);
-        body(rank, d, p);
-      });
-    }
-    engine.Run();
-  }
-
-  Engine engine;
-  Fabric fabric;
-  DstormDomain domain;
-};
-
 TEST(Accumulator, SumsAllContributions) {
   const int n = 5;
-  AccCluster cluster(n);
+  SimCluster cluster(n);
   std::vector<double> drained(n);
   std::vector<int64_t> counts(n);
   cluster.Run([&](int rank, Dstorm& d, Process&) {
@@ -62,7 +35,7 @@ TEST(Accumulator, SumsAllContributions) {
 }
 
 TEST(Accumulator, DrainResetsToZero) {
-  AccCluster cluster(2);
+  SimCluster cluster(2);
   cluster.Run([&](int rank, Dstorm& d, Process&) {
     const SegmentId acc = d.CreateAccumulator(2, AllToAllGraph(2));
     std::vector<float> mine = {1.5f, 2.5f};
@@ -79,7 +52,7 @@ TEST(Accumulator, DrainResetsToZero) {
 }
 
 TEST(Accumulator, MultipleRoundsAccumulateBetweenDrains) {
-  AccCluster cluster(2);
+  SimCluster cluster(2);
   cluster.Run([&](int rank, Dstorm& d, Process&) {
     const SegmentId acc = d.CreateAccumulator(1, AllToAllGraph(2));
     std::vector<float> one = {1.0f};
@@ -96,7 +69,7 @@ TEST(Accumulator, MultipleRoundsAccumulateBetweenDrains) {
 }
 
 TEST(Accumulator, MixesWithQueueSegments) {
-  AccCluster cluster(2);
+  SimCluster cluster(2);
   cluster.Run([&](int rank, Dstorm& d, Process&) {
     SegmentOptions queue_opts;
     queue_opts.obj_bytes = 8;
@@ -124,7 +97,7 @@ TEST(Accumulator, MixesWithQueueSegments) {
 }
 
 TEST(Accumulator, WrongSegmentKindRejected) {
-  AccCluster cluster(2);
+  SimCluster cluster(2);
   cluster.Run([&](int rank, Dstorm& d, Process&) {
     SegmentOptions queue_opts;
     queue_opts.obj_bytes = 8;
@@ -137,7 +110,7 @@ TEST(Accumulator, WrongSegmentKindRejected) {
 }
 
 TEST(Accumulator, SizeMismatchRejected) {
-  AccCluster cluster(2);
+  SimCluster cluster(2);
   cluster.Run([&](int rank, Dstorm& d, Process&) {
     const SegmentId acc = d.CreateAccumulator(4, AllToAllGraph(2));
     std::vector<float> wrong(3);
@@ -147,7 +120,7 @@ TEST(Accumulator, SizeMismatchRejected) {
 }
 
 TEST(Accumulator, SkipsDeadPeers) {
-  AccCluster cluster(3);
+  SimCluster cluster(3);
   cluster.engine.ScheduleKill(2, 500);
   std::vector<double> drained(3, -1);
   cluster.Run([&](int rank, Dstorm& d, Process& p) {

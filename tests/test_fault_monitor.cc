@@ -9,45 +9,17 @@
 #include <stdexcept>
 
 #include "src/comm/graph.h"
-#include "src/simnet/fabric.h"
+#include "tests/sim_cluster.h"
 
 namespace malt {
 namespace {
-
-FabricOptions FastNet() {
-  FabricOptions opts;
-  opts.net.latency = 1000;
-  opts.net.bandwidth_bytes_per_sec = 1e9;
-  opts.net.per_message_overhead = 0;
-  return opts;
-}
 
 std::span<const std::byte> AsBytes(const void* p, size_t n) {
   return {static_cast<const std::byte*>(p), n};
 }
 
-struct Cluster {
-  explicit Cluster(int n) : engine(), fabric(engine, n, FastNet()), domain(engine, fabric, n) {}
-
-  void Run(const std::function<void(int, Dstorm&, FaultMonitor&, Process&)>& body) {
-    for (int rank = 0; rank < domain.size(); ++rank) {
-      engine.AddProcess("rank" + std::to_string(rank), [this, rank, body](Process& p) {
-        Dstorm& d = domain.node(rank);
-        d.Bind(p);
-        FaultMonitor monitor(d, FaultMonitorOptions{});
-        body(rank, d, monitor, p);
-      });
-    }
-    engine.Run();
-  }
-
-  Engine engine;
-  Fabric fabric;
-  DstormDomain domain;
-};
-
 TEST(FaultMonitor, NoFailureNoRecovery) {
-  Cluster cluster(2);
+  SimCluster cluster(2);
   cluster.Run([&](int rank, Dstorm& d, FaultMonitor& monitor, Process&) {
     SegmentOptions opts;
     opts.obj_bytes = sizeof(int);
@@ -61,7 +33,7 @@ TEST(FaultMonitor, NoFailureNoRecovery) {
 }
 
 TEST(FaultMonitor, DetectsDeadPeerViaFailedWrite) {
-  Cluster cluster(3);
+  SimCluster cluster(3);
   cluster.engine.ScheduleKill(2, 500);
   std::vector<int> removed_by_0;
   int64_t recoveries_0 = 0;
@@ -98,7 +70,7 @@ TEST(FaultMonitor, HealthCheckFindsSilentlyDeadPeer) {
   // Node 1 never receives writes from node 0 (ring 0->1->2->0 means 0 writes
   // only to 1)... use a graph where 0 doesn't write to the dead node so only
   // the active health check can discover the death.
-  Cluster cluster(3);
+  SimCluster cluster(3);
   cluster.engine.ScheduleKill(2, 100);
   cluster.Run([&](int rank, Dstorm& d, FaultMonitor& monitor, Process& p) {
     if (rank == 2) {
@@ -114,7 +86,7 @@ TEST(FaultMonitor, HealthCheckFindsSilentlyDeadPeer) {
 }
 
 TEST(FaultMonitor, RecoveryListenerFires) {
-  Cluster cluster(2);
+  SimCluster cluster(2);
   cluster.engine.ScheduleKill(1, 100);
   std::vector<int> listener_removed;
   cluster.Run([&](int rank, Dstorm&, FaultMonitor& monitor, Process& p) {
@@ -132,7 +104,7 @@ TEST(FaultMonitor, RecoveryListenerFires) {
 }
 
 TEST(FaultMonitor, RecoveryChargesTime) {
-  Cluster cluster(2);
+  SimCluster cluster(2);
   cluster.engine.ScheduleKill(1, 100);
   SimTime before = 0;
   SimTime after = 0;
@@ -150,7 +122,7 @@ TEST(FaultMonitor, RecoveryChargesTime) {
 }
 
 TEST(FaultMonitor, GuardLocalTrapsExceptionAndKillsReplica) {
-  Cluster cluster(2);
+  SimCluster cluster(2);
   bool after_guard_reached = false;
   cluster.Run([&](int rank, Dstorm& d, FaultMonitor& monitor, Process& p) {
     if (rank == 0) {
@@ -167,7 +139,7 @@ TEST(FaultMonitor, GuardLocalTrapsExceptionAndKillsReplica) {
 }
 
 TEST(FaultMonitor, GuardLocalPassesThroughNormally) {
-  Cluster cluster(1);
+  SimCluster cluster(1);
   int ran = 0;
   cluster.Run([&](int, Dstorm&, FaultMonitor& monitor, Process&) {
     monitor.GuardLocal([&] { ran = 1; });
@@ -177,7 +149,7 @@ TEST(FaultMonitor, GuardLocalPassesThroughNormally) {
 }
 
 TEST(FaultMonitor, DoubleRecoveryIsIdempotent) {
-  Cluster cluster(3);
+  SimCluster cluster(3);
   cluster.engine.ScheduleKill(2, 100);
   cluster.Run([&](int rank, Dstorm& d, FaultMonitor& monitor, Process& p) {
     if (rank == 2) {

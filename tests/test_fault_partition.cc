@@ -6,55 +6,26 @@
 
 #include "src/comm/graph.h"
 #include "src/fault/monitor.h"
-#include "src/simnet/fabric.h"
+#include "tests/sim_cluster.h"
 
 namespace malt {
 namespace {
 
-FabricOptions FastNet() {
-  FabricOptions opts;
-  opts.net.latency = 1000;
-  opts.net.bandwidth_bytes_per_sec = 1e9;
-  opts.net.per_message_overhead = 0;
-  return opts;
+// Cuts every link between the two sides (both directions).
+void SplitNetwork(SimCluster& cluster, const std::vector<int>& side_a,
+                  const std::vector<int>& side_b) {
+  for (int a : side_a) {
+    for (int b : side_b) {
+      ASSERT_TRUE(cluster.fabric.SetReachable(a, b, false).ok());
+    }
+  }
 }
-
-struct PartCluster {
-  explicit PartCluster(int n)
-      : engine(), fabric(engine, n, FastNet()), domain(engine, fabric, n) {}
-
-  void Partition(const std::vector<int>& side_a, const std::vector<int>& side_b) {
-    for (int a : side_a) {
-      for (int b : side_b) {
-        ASSERT_TRUE(fabric.SetReachable(a, b, false).ok());
-      }
-    }
-  }
-
-  void Run(const std::function<void(int, Dstorm&, FaultMonitor&, Process&)>& body,
-           FaultMonitorOptions monitor_options = {}) {
-    for (int rank = 0; rank < domain.size(); ++rank) {
-      engine.AddProcess("rank" + std::to_string(rank),
-                        [this, rank, body, monitor_options](Process& p) {
-                          Dstorm& d = domain.node(rank);
-                          d.Bind(p);
-                          FaultMonitor monitor(d, monitor_options);
-                          body(rank, d, monitor, p);
-                        });
-    }
-    engine.Run();
-  }
-
-  Engine engine;
-  Fabric fabric;
-  DstormDomain domain;
-};
 
 TEST(Partition, BothSidesContinueIndependently) {
   // 5 nodes split {0,1,2} | {3,4}: each side removes the other and keeps
   // exchanging among itself (the paper's default policy).
-  PartCluster cluster(5);
-  cluster.Partition({0, 1, 2}, {3, 4});
+  SimCluster cluster(5);
+  SplitNetwork(cluster, {0, 1, 2}, {3, 4});
   std::vector<int> group_sizes(5);
   std::vector<int> gathered(5);
 
@@ -86,8 +57,8 @@ TEST(Partition, BothSidesContinueIndependently) {
 }
 
 TEST(Partition, MinorityHaltsUnderQuorum) {
-  PartCluster cluster(5);
-  cluster.Partition({0, 1, 2}, {3, 4});
+  SimCluster cluster(5);
+  SplitNetwork(cluster, {0, 1, 2}, {3, 4});
   FaultMonitorOptions monitor_options;
   monitor_options.quorum_fraction = 0.5;  // need >= 2.5 of 5
   monitor_options.recovery_cost = FromSeconds(0.001);
@@ -117,8 +88,8 @@ TEST(Partition, MinorityHaltsUnderQuorum) {
 }
 
 TEST(Partition, QuorumOffByDefault) {
-  PartCluster cluster(4);
-  cluster.Partition({0, 1, 2}, {3});
+  SimCluster cluster(4);
+  SplitNetwork(cluster, {0, 1, 2}, {3});
   std::vector<int> survived(4, 0);
   cluster.Run([&](int rank, Dstorm&, FaultMonitor& monitor, Process&) {
     monitor.HealthCheckAndRecover();

@@ -12,20 +12,10 @@
 #include "src/base/rng.h"
 #include "src/check/check.h"
 #include "src/comm/graph.h"
-#include "src/dstorm/dstorm.h"
-#include "src/sim/engine.h"
-#include "src/simnet/fabric.h"
+#include "tests/sim_cluster.h"
 
 namespace malt {
 namespace {
-
-FabricOptions FastNet() {
-  FabricOptions opts;
-  opts.net.latency = 1000;
-  opts.net.bandwidth_bytes_per_sec = 1e9;
-  opts.net.per_message_overhead = 0;
-  return opts;
-}
 
 class RandomWorkloadSweep : public ::testing::TestWithParam<uint64_t> {};
 
@@ -109,24 +99,17 @@ TEST(SimProperties, WritesNeverArriveBeforePostTime) {
 
 TEST(SimProperties, BarrierStormNoDeadlock) {
   // 12 ranks hammer barriers with uneven compute between them.
-  Engine engine;
   ProtocolChecker checker(CheckLevel::kCheap, 12);
-  Fabric fabric(engine, 12, FastNet(), nullptr, &checker);
-  DstormDomain domain(engine, fabric, 12);
+  SimCluster cluster(12, FastNet(), &checker);
   int completed = 0;
-  for (int rank = 0; rank < 12; ++rank) {
-    engine.AddProcess("r" + std::to_string(rank), [&, rank](Process& p) {
-      Dstorm& d = domain.node(rank);
-      d.Bind(p);
-      Xoshiro256 rng(static_cast<uint64_t>(rank) + 1);
-      for (int round = 0; round < 100; ++round) {
-        p.Advance(static_cast<SimDuration>(rng.NextBounded(3000)));
-        ASSERT_TRUE(d.Barrier().ok());
-      }
-      ++completed;
-    });
-  }
-  engine.Run();
+  cluster.Run([&](int rank, Dstorm& d, Process& p) {
+    Xoshiro256 rng(static_cast<uint64_t>(rank) + 1);
+    for (int round = 0; round < 100; ++round) {
+      p.Advance(static_cast<SimDuration>(rng.NextBounded(3000)));
+      ASSERT_TRUE(d.Barrier().ok());
+    }
+    ++completed;
+  });
   EXPECT_EQ(completed, 12);
   EXPECT_GT(checker.events_checked(), 0);
   EXPECT_EQ(checker.violation_count(), 0) << checker.ReportJson();
@@ -135,90 +118,75 @@ TEST(SimProperties, BarrierStormNoDeadlock) {
 TEST(SimProperties, ScatterStormDeliversFreshest) {
   // Async senders lap a slow receiver thousands of times; the receiver must
   // always observe consistent objects with non-decreasing iteration stamps.
-  Engine engine;
   ProtocolChecker checker(CheckLevel::kFull, 3);
-  Fabric fabric(engine, 3, FastNet(), nullptr, &checker);
-  DstormDomain domain(engine, fabric, 3);
+  SimCluster cluster(3, FastNet(), &checker);
   bool receiver_ok = true;
 
-  for (int rank = 0; rank < 3; ++rank) {
-    engine.AddProcess("r" + std::to_string(rank), [&, rank](Process& p) {
-      Dstorm& d = domain.node(rank);
-      d.Bind(p);
-      SegmentOptions opts;
-      opts.obj_bytes = 64;
-      opts.graph = AllToAllGraph(3);
-      opts.queue_depth = 2;
-      const SegmentId seg = d.CreateSegment(opts);
-      if (rank != 0) {
-        std::vector<std::byte> payload(64);
-        for (uint32_t iter = 1; iter <= 500; ++iter) {
-          std::memset(payload.data(), static_cast<int>(iter & 0xFF), payload.size());
-          (void)d.Scatter(seg, payload, iter);
-          p.Advance(100);
+  cluster.Run([&](int rank, Dstorm& d, Process& p) {
+    SegmentOptions opts;
+    opts.obj_bytes = 64;
+    opts.graph = AllToAllGraph(3);
+    opts.queue_depth = 2;
+    const SegmentId seg = d.CreateSegment(opts);
+    if (rank != 0) {
+      std::vector<std::byte> payload(64);
+      for (uint32_t iter = 1; iter <= 500; ++iter) {
+        std::memset(payload.data(), static_cast<int>(iter & 0xFF), payload.size());
+        (void)d.Scatter(seg, payload, iter);
+        p.Advance(100);
+      }
+      (void)d.Flush();
+      return;
+    }
+    std::vector<uint32_t> last_iter(3, 0);
+    for (int poll = 0; poll < 200; ++poll) {
+      p.Advance(997);  // slower than the senders
+      d.Gather(seg, [&](const RecvObject& obj) {
+        // Payload must be internally consistent with the stamp.
+        const auto expected = static_cast<std::byte>(obj.iter & 0xFF);
+        for (std::byte b : obj.bytes) {
+          if (b != expected) {
+            receiver_ok = false;
+          }
         }
-        (void)d.Flush();
-        return;
-      }
-      std::vector<uint32_t> last_iter(3, 0);
-      for (int poll = 0; poll < 200; ++poll) {
-        p.Advance(997);  // slower than the senders
-        d.Gather(seg, [&](const RecvObject& obj) {
-          // Payload must be internally consistent with the stamp.
-          const auto expected = static_cast<std::byte>(obj.iter & 0xFF);
-          for (std::byte b : obj.bytes) {
-            if (b != expected) {
-              receiver_ok = false;
-            }
-          }
-          if (obj.iter < last_iter[static_cast<size_t>(obj.sender)]) {
-            receiver_ok = false;  // stale delivered after fresh
-          }
-          last_iter[static_cast<size_t>(obj.sender)] = obj.iter;
-        });
-      }
-    });
-  }
-  engine.Run();
+        if (obj.iter < last_iter[static_cast<size_t>(obj.sender)]) {
+          receiver_ok = false;  // stale delivered after fresh
+        }
+        last_iter[static_cast<size_t>(obj.sender)] = obj.iter;
+      });
+    }
+  });
   EXPECT_TRUE(receiver_ok);
   EXPECT_GT(checker.events_checked(), 0);
   EXPECT_EQ(checker.violation_count(), 0) << checker.ReportJson();
 }
 
 TEST(SimProperties, LostUpdatesAccountedUnderOverrun) {
-  Engine engine;
   ProtocolChecker checker(CheckLevel::kCheap, 2);
-  Fabric fabric(engine, 2, FastNet(), nullptr, &checker);
-  DstormDomain domain(engine, fabric, 2);
-  int64_t lost = -1;
+  SimCluster cluster(2, FastNet(), &checker);
   int consumed = 0;
   const int kSent = 100;
 
-  for (int rank = 0; rank < 2; ++rank) {
-    engine.AddProcess("r" + std::to_string(rank), [&, rank](Process& p) {
-      Dstorm& d = domain.node(rank);
-      d.Bind(p);
-      SegmentOptions opts;
-      opts.obj_bytes = 8;
-      opts.graph = RingGraph(2);
-      opts.queue_depth = 2;
-      const SegmentId seg = d.CreateSegment(opts);
-      if (rank == 0) {
-        std::byte payload[8] = {};
-        for (uint32_t iter = 1; iter <= kSent; ++iter) {
-          (void)d.Scatter(seg, payload, iter);
-          (void)d.Flush();
-        }
-        (void)d.Barrier();
-      } else {
-        (void)d.Barrier();
-        consumed += d.Gather(seg, [](const RecvObject&) {});
-        lost = d.LostUpdates(seg);
-        (void)p;
+  cluster.Run([&](int rank, Dstorm& d, Process&) {
+    SegmentOptions opts;
+    opts.obj_bytes = 8;
+    opts.graph = RingGraph(2);
+    opts.queue_depth = 2;
+    const SegmentId seg = d.CreateSegment(opts);
+    if (rank == 0) {
+      std::byte payload[8] = {};
+      for (uint32_t iter = 1; iter <= kSent; ++iter) {
+        (void)d.Scatter(seg, payload, iter);
+        (void)d.Flush();
       }
-    });
-  }
-  engine.Run();
+      (void)d.Barrier();
+    } else {
+      (void)d.Barrier();
+      consumed += d.Gather(seg, [](const RecvObject&) {});
+    }
+  });
+  const int64_t lost =
+      cluster.fabric.telemetry().rank(1).metrics.CounterValue("dstorm.overwrites_on_full");
   // Conservation: everything sent was either consumed or counted as lost.
   EXPECT_EQ(consumed + lost, kSent);
   EXPECT_GT(lost, 0);

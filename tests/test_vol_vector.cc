@@ -7,37 +7,10 @@
 
 #include "src/comm/graph.h"
 #include "src/vol/accumulator.h"
-#include "src/simnet/fabric.h"
+#include "tests/sim_cluster.h"
 
 namespace malt {
 namespace {
-
-FabricOptions FastNet() {
-  FabricOptions opts;
-  opts.net.latency = 1000;
-  opts.net.bandwidth_bytes_per_sec = 1e9;
-  opts.net.per_message_overhead = 0;
-  return opts;
-}
-
-struct VolCluster {
-  explicit VolCluster(int n) : engine(), fabric(engine, n, FastNet()), domain(engine, fabric, n) {}
-
-  void Run(const std::function<void(int, Dstorm&, Process&)>& body) {
-    for (int rank = 0; rank < domain.size(); ++rank) {
-      engine.AddProcess("rank" + std::to_string(rank), [this, rank, body](Process& p) {
-        Dstorm& d = domain.node(rank);
-        d.Bind(p);
-        body(rank, d, p);
-      });
-    }
-    engine.Run();
-  }
-
-  Engine engine;
-  Fabric fabric;
-  DstormDomain domain;
-};
 
 MaltVectorOptions DenseOpts(const std::string& name, size_t dim, int n) {
   MaltVectorOptions o;
@@ -50,7 +23,7 @@ MaltVectorOptions DenseOpts(const std::string& name, size_t dim, int n) {
 
 TEST(MaltVector, DenseGatherAverage) {
   const int n = 4;
-  VolCluster cluster(n);
+  SimCluster cluster(n);
   std::vector<float> results(n);
   cluster.Run([&](int rank, Dstorm& d, Process&) {
     MaltVector v(d, DenseOpts("w", 8, n));
@@ -72,7 +45,7 @@ TEST(MaltVector, DenseGatherAverage) {
 
 TEST(MaltVector, DenseGatherSum) {
   const int n = 3;
-  VolCluster cluster(n);
+  SimCluster cluster(n);
   std::vector<float> results(n);
   cluster.Run([&](int rank, Dstorm& d, Process&) {
     MaltVector v(d, DenseOpts("g", 4, n));
@@ -90,7 +63,7 @@ TEST(MaltVector, DenseGatherSum) {
 
 TEST(MaltVector, SparseScatterOnlyShipsNonzeros) {
   const int n = 2;
-  VolCluster cluster(n);
+  SimCluster cluster(n);
   cluster.Run([&](int rank, Dstorm& d, Process&) {
     MaltVectorOptions o;
     o.name = "sparse";
@@ -116,7 +89,7 @@ TEST(MaltVector, SparseScatterOnlyShipsNonzeros) {
 }
 
 TEST(MaltVector, SparseNnzOverflowRejected) {
-  VolCluster cluster(2);
+  SimCluster cluster(2);
   cluster.Run([&](int rank, Dstorm& d, Process&) {
     MaltVectorOptions o;
     o.name = "tiny";
@@ -135,7 +108,7 @@ TEST(MaltVector, SparseNnzOverflowRejected) {
 
 TEST(MaltVector, GatherReplaceHogwild) {
   const int n = 2;
-  VolCluster cluster(n);
+  SimCluster cluster(n);
   std::vector<float> got(n);
   cluster.Run([&](int rank, Dstorm& d, Process&) {
     MaltVectorOptions o;
@@ -157,7 +130,7 @@ TEST(MaltVector, GatherReplaceHogwild) {
 
 TEST(MaltVector, GatherCustomUdf) {
   const int n = 2;
-  VolCluster cluster(n);
+  SimCluster cluster(n);
   cluster.Run([&](int rank, Dstorm& d, Process&) {
     MaltVector v(d, DenseOpts("c", 4, n));
     v.data()[0] = rank == 0 ? 5.0f : 7.0f;
@@ -176,7 +149,7 @@ TEST(MaltVector, GatherCustomUdf) {
 
 TEST(MaltVector, IterationStampsFlow) {
   const int n = 2;
-  VolCluster cluster(n);
+  SimCluster cluster(n);
   cluster.Run([&](int rank, Dstorm& d, Process&) {
     MaltVector v(d, DenseOpts("it", 2, n));
     v.set_iteration(static_cast<uint32_t>(100 + rank));
@@ -191,7 +164,7 @@ TEST(MaltVector, IterationStampsFlow) {
 
 TEST(MaltVector, GatherAverageFreshSkipsStale) {
   const int n = 2;
-  VolCluster cluster(n);
+  SimCluster cluster(n);
   std::vector<int> received(n);
   cluster.Run([&](int rank, Dstorm& d, Process&) {
     MaltVector v(d, DenseOpts("st", 2, n));
@@ -209,7 +182,7 @@ TEST(MaltVector, GatherAverageFreshSkipsStale) {
 
 TEST(MaltVector, ScatterToSubsetOnly) {
   const int n = 3;
-  VolCluster cluster(n);
+  SimCluster cluster(n);
   std::vector<int> received(n);
   cluster.Run([&](int rank, Dstorm& d, Process&) {
     MaltVector v(d, DenseOpts("sub", 2, n));
@@ -228,7 +201,7 @@ TEST(MaltVector, ScatterToSubsetOnly) {
 
 TEST(MaltVector, FreshAvailablePredicate) {
   const int n = 2;
-  VolCluster cluster(n);
+  SimCluster cluster(n);
   cluster.Run([&](int rank, Dstorm& d, Process& p) {
     MaltVector v(d, DenseOpts("f", 2, n));
     if (rank == 0) {
@@ -246,7 +219,7 @@ TEST(MaltVector, FreshAvailablePredicate) {
 
 TEST(GradientAccumulator, WorkerLevelScatterAddAndDrain) {
   const int n = 4;
-  VolCluster cluster(n);
+  SimCluster cluster(n);
   std::vector<double> sums(n);
   std::vector<int64_t> counts(n);
   cluster.Run([&](int rank, Dstorm& d, Process&) {

@@ -42,6 +42,12 @@ Rules:
                   mc::atomic<T>, mc::atomic_flag, mc::Fence, and the mc::
                   word-atomic helpers. std::memory_order tokens are fine —
                   they parameterize the shim, they do not bypass it.
+  engine-include  dstorm, VOL, the fault monitor, the apps and the baselines
+                  (src/dstorm/, src/vol/, src/fault/, src/apps/,
+                  src/baselines/) run unchanged on every backend, so they
+                  reach time, blocking and death only through
+                  Transport/RankCtx. Including the simulator engine
+                  (src/sim/engine.h) there reopens a sim-only path.
 
 A line containing NOLINT(malt-api) is skipped. Exit status: 0 clean,
 1 findings, 2 usage error.
@@ -97,6 +103,10 @@ RAW_ATOMIC = re.compile(
     r"#\s*include\s*<atomic>"
 )
 
+# Backend-agnostic layers: they program against Transport/RankCtx only.
+ENGINE_FREE = ("src/dstorm/", "src/vol/", "src/fault/", "src/apps/", "src/baselines/")
+ENGINE_INCLUDE = re.compile(r'#\s*include\s*"src/sim/engine\.h"')
+
 
 def lint_file(path: Path, findings: list) -> None:
     rel = path.relative_to(REPO).as_posix()
@@ -115,6 +125,7 @@ def lint_lines(rel: str, lines: list, findings: list) -> None:
     in_check = rel.startswith("src/check/")
     in_base = rel.startswith("src/base/")
     in_mc_scope = rel.startswith(MC_SHIM_SCOPE)
+    in_engine_free = rel.startswith(ENGINE_FREE)
 
     for lineno, line in enumerate(lines, start=1):
         if "NOLINT(malt-api)" in line:
@@ -159,6 +170,12 @@ def lint_lines(rel: str, lines: list, findings: list) -> None:
                              "code; route it through the mc:: shim "
                              "(src/base/mc.h) so the interleaving checker sees "
                              "the sync point"))
+
+        if in_engine_free and ENGINE_INCLUDE.search(stripped):
+            findings.append((rel, lineno, "engine-include",
+                             "simulator engine included in a backend-agnostic "
+                             "layer; use RankCtx (src/comm/transport.h) and "
+                             "src/base/process_killed.h"))
 
         if not in_base and RAW_MUTEX.search(stripped):
             findings.append((rel, lineno, "raw-mutex",
