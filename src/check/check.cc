@@ -585,6 +585,12 @@ void ProtocolChecker::OnSlotRead(int reader, uint32_t rkey, int queue_pos, int s
       break;
     }
     case ReadAction::kSkippedStale: {
+      if (seq_front != seq_back) {
+        ReportViolation(check::kSeqlockProtocol, reader, now,
+                        "reader skipped slot " + std::to_string(slot) + " from rank " +
+                            std::to_string(sender) + " as stale despite stamps front=" +
+                            std::to_string(seq_front) + " back=" + std::to_string(seq_back));
+      }
       if (seq_front > q.last_consumed_seq) {
         ReportViolation(check::kSeqDiscipline, reader, now,
                         "fresh seq " + std::to_string(seq_front) + " from rank " +

@@ -30,9 +30,8 @@
 //   reader that validated a write's content runs its hook after that, so the
 //   ledger is never behind what the reader could legally observe.
 //
-// The checker restates the dstorm slot wire format independently (constants
-// below) on purpose: if the protocol and the checker ever disagree, every
-// checked run reports it immediately.
+// The dstorm slot wire format is defined once, by the constants below; dstorm
+// reads and writes slots through them.
 //
 // Levels (MaltOptions::check / malt_run --check):
 //   off   — every hook early-returns; the shadow state is never touched.
@@ -78,7 +77,8 @@ std::string ToString(CheckLevel level);
 
 namespace check {
 
-// dstorm slot wire format, restated from src/dstorm/dstorm.cc:
+// dstorm slot wire format (the one definition; dstorm and the checker both
+// use it):
 //   u64 seq_front | u32 iter | u32 bytes | payload[bytes] | u64 seq_back
 inline constexpr size_t kSeqFrontOff = 0;
 inline constexpr size_t kIterOff = 8;
@@ -173,7 +173,9 @@ class ProtocolChecker {
   enum class ReadAction : uint8_t {
     kConsumed = 0,     // folded into the local model
     kSkippedTorn = 1,  // seq_front != seq_back observed
-    kSkippedStale = 2, // already consumed earlier
+    // Already consumed earlier. Readers decide this from the header alone
+    // and report seq_back = seq_front (the trailer is never read).
+    kSkippedStale = 2,
   };
 
   ProtocolChecker(CheckLevel level, int world);

@@ -10,10 +10,10 @@ namespace malt {
 
 namespace {
 
-constexpr size_t kSeqFrontOff = 0;
-constexpr size_t kIterOff = 8;
-constexpr size_t kBytesOff = 12;
-constexpr size_t kPayloadOff = 16;
+using check::kBytesOff;
+using check::kIterOff;
+using check::kPayloadOff;
+using check::kSeqFrontOff;
 
 size_t AlignUp8(size_t v) { return (v + 7) & ~size_t{7}; }
 
@@ -39,6 +39,7 @@ constexpr int kMaxQueueDepth = 16;
 enum class SlotState : uint8_t {
   kValid,        // consistent: stamps equal and nonzero
   kEmpty,        // never written, or header mid-write
+  kStale,        // header stamp <= the reader's last consumed: nothing new
   kTornRead,     // Transport::Read saw an overwrite in flight (shmem only)
   kTornStamps,   // front and back stamps differ: a write in flight
 };
@@ -50,12 +51,14 @@ struct SlotHeader {
   uint32_t bytes = 0;
 };
 
-// The slot-validation scan every receive-side reader shares: the header,
-// then either the payload plus back stamp into `snap` (Gather's torn-read-safe
-// snapshot) or, with `snap` null, only the back stamp (the PeerIteration /
-// FreshAvailable polls). Two Transport::Read calls for any written slot.
+// The slot-validation scan every receive-side reader shares. The 16-byte
+// header comes first; a slot whose front stamp is at most `last_consumed` is
+// stale and is decided from the header alone. Otherwise the payload plus back
+// stamp is read into `snap` (Gather's torn-read-safe snapshot) or, with `snap`
+// null, only the back stamp (the FreshAvailable / PeerIteration polls).
+// PeerIteration passes 0, so it never sees kStale.
 SlotState ReadSlot(const Transport& transport, MrHandle mr, size_t base_off, size_t obj_bytes,
-                   std::byte* snap, SlotHeader* out) {
+                   uint64_t last_consumed, std::byte* snap, SlotHeader* out) {
   std::byte header[kPayloadOff];
   if (!transport.Read(mr, base_off, header)) {
     return SlotState::kTornRead;
@@ -65,6 +68,10 @@ SlotState ReadSlot(const Transport& transport, MrHandle mr, size_t base_off, siz
   out->bytes = LoadU32(header + kBytesOff);
   if (out->seq_front == 0 || out->bytes > obj_bytes) {
     return SlotState::kEmpty;
+  }
+  if (out->seq_front <= last_consumed) {
+    out->seq_back = out->seq_front;  // the trailer is never read
+    return SlotState::kStale;
   }
   std::byte trailer[sizeof(uint64_t)];
   const bool read = snap != nullptr
@@ -122,6 +129,7 @@ Dstorm::Dstorm(DstormDomain* domain, Transport* transport, int rank, int world,
   c_gathers_ = reg.GetCounter("dstorm.gathers");
   c_objects_folded_ = reg.GetCounter("dstorm.objects_folded");
   c_torn_skipped_ = reg.GetCounter("dstorm.torn_slots_skipped");
+  c_gather_bytes_copied_ = reg.GetCounter("dstorm.gather_bytes_copied");
   c_overwrites_ = reg.GetCounter("dstorm.overwrites_on_full");
   c_barriers_ = reg.GetCounter("dstorm.barriers");
   c_barrier_timeouts_ = reg.GetCounter("dstorm.barrier_timeouts");
@@ -134,14 +142,11 @@ Dstorm::Dstorm(DstormDomain* domain, Transport* transport, int rank, int world,
   flow_events_ = transport_->telemetry().options().flow_events;
 }
 
-Dstorm::Segment& Dstorm::GetSegment(SegmentId seg) {
-  MutexLock lock(domain_->mu_);
-  return segments_[static_cast<size_t>(seg)];
-}
-
-const Dstorm::Segment& Dstorm::GetSegment(SegmentId seg) const {
-  MutexLock lock(domain_->mu_);
-  return segments_[static_cast<size_t>(seg)];
+Dstorm::Segment& Dstorm::GetSegment(SegmentId seg) const {
+  MALT_CHECK(seg >= 0 && static_cast<size_t>(seg) < own_segments_.size())
+      << "rank " << rank_ << " has no segment " << seg << " (created "
+      << own_segments_.size() << ")";
+  return *own_segments_[static_cast<size_t>(seg)];
 }
 
 void Dstorm::WaitForSendRoom() {
@@ -182,8 +187,9 @@ SegmentId Dstorm::CreateCollective(const SegmentOptions& options, bool accumulat
   // Segment ids are assigned by per-node call order; the collective contract
   // is that every node creates the same segments in the same order. (The id
   // cannot come from segments_.size(): the first creator materializes the
-  // segment on every node, so peers' lists grow before their own call.)
-  const SegmentId seg_id = created_count_++;
+  // segment on every node, so peers' lists grow before their own call. Every
+  // call appends to own_segments_ exactly once.)
+  const auto seg_id = static_cast<SegmentId>(own_segments_.size());
   // Queue slots are header + payload + trailer, and each slot is its own
   // guard stripe: concurrent senders own disjoint slots, so stripes never see
   // two writers. Accumulators have no slots and no striped guard: they are
@@ -203,6 +209,7 @@ SegmentId Dstorm::CreateCollective(const SegmentOptions& options, bool accumulat
     const SegmentOptions& spec = specs[static_cast<size_t>(seg_id)];
     MALT_CHECK(spec.obj_bytes == options.obj_bytes && spec.queue_depth == options.queue_depth)
         << "collective segment creation called with mismatched options on rank " << rank_;
+    own_segments_.push_back(&segments_[static_cast<size_t>(seg_id)]);
     return seg_id;
   }
   specs.push_back(options);
@@ -256,6 +263,7 @@ SegmentId Dstorm::CreateCollective(const SegmentOptions& options, bool accumulat
       checker.OnSegmentCreate(node, mr.rkey, seg_id, std::move(layout));
     }
   }
+  own_segments_.push_back(&segments_[static_cast<size_t>(seg_id)]);
   return seg_id;
 }
 
@@ -299,13 +307,8 @@ int64_t Dstorm::DrainAccumulator(SegmentId seg, std::span<float> out) {
   return transport_->DrainFloatRegion(s.recv_mr, out);
 }
 
-Status Dstorm::PostObject(SegmentId seg, int dst, std::span<const std::byte> payload,
+Status Dstorm::PostObject(SegmentId seg, Segment& s, int dst, std::span<std::byte> wire,
                           uint32_t iter) {
-  Segment& s = GetSegment(seg);
-  if (payload.size() > s.options.obj_bytes) {
-    return InvalidArgumentError("payload exceeds segment object size");
-  }
-
   const int sender_pos = s.sender_pos_at[static_cast<size_t>(dst)];
   if (sender_pos < 0) {
     return FailedPreconditionError("rank " + std::to_string(rank_) +
@@ -315,17 +318,11 @@ Status Dstorm::PostObject(SegmentId seg, int dst, std::span<const std::byte> pay
   const int slot = s.next_send_slot[static_cast<size_t>(dst)];
   s.next_send_slot[static_cast<size_t>(dst)] = (slot + 1) % s.options.queue_depth;
 
-  // Wire image of the slot: both sequence stamps carry `seq`; a reader that
-  // observes mismatched stamps is seeing a write in flight. The back stamp
-  // sits immediately after the payload (its position is derived from the
-  // header's byte count), so only header + payload + trailer travel on the
-  // wire — a short object does not pay for the slot's full capacity.
-  std::vector<std::byte> wire(kPayloadOff + payload.size() + sizeof(uint64_t));
+  // Both sequence stamps carry `seq`; a reader that observes mismatched
+  // stamps is seeing a write in flight. The rest of the image is the same
+  // for every destination of one scatter.
   StoreU64(wire.data() + kSeqFrontOff, seq);
-  StoreU32(wire.data() + kIterOff, iter);
-  StoreU32(wire.data() + kBytesOff, static_cast<uint32_t>(payload.size()));
-  std::memcpy(wire.data() + kPayloadOff, payload.data(), payload.size());
-  StoreU64(wire.data() + kPayloadOff + payload.size(), seq);
+  StoreU64(wire.data() + wire.size() - sizeof(uint64_t), seq);
 
   // Sender-side back-pressure (paper §3.1): block while the NIC queue is full.
   WaitForSendRoom();
@@ -352,25 +349,37 @@ Status Dstorm::PostObject(SegmentId seg, int dst, std::span<const std::byte> pay
 }
 
 Status Dstorm::Scatter(SegmentId seg, std::span<const std::byte> payload, uint32_t iter) {
-  const Segment& s = GetSegment(seg);
-  std::vector<int> dsts;
-  for (int dst : s.options.graph.OutEdges(rank_)) {
-    if (group_member_[static_cast<size_t>(dst)]) {
-      dsts.push_back(dst);
-    }
-  }
-  return ScatterTo(seg, dsts, payload, iter);
+  return ScatterTo(seg, GetSegment(seg).options.graph.OutEdges(rank_), payload, iter);
 }
 
 Status Dstorm::ScatterTo(SegmentId seg, std::span<const int> dsts,
                          std::span<const std::byte> payload, uint32_t iter) {
   MALT_CHECK(ctx_ != nullptr) << "Dstorm not bound to an execution context";
+  Segment& s = GetSegment(seg);
+  if (payload.size() > s.options.obj_bytes) {
+    return InvalidArgumentError("payload exceeds segment object size");
+  }
+  // The slot image is built once per scatter in a reused buffer; PostObject
+  // patches only the two stamps per destination. Only header + payload +
+  // trailer travel on the wire (the back stamp's position follows from the
+  // header's byte count), so a short object does not pay for the slot's full
+  // capacity. Both transports snapshot the bytes at post time, so the buffer
+  // (and the caller's payload) may be reused as soon as PostWrite returns.
+  const size_t wire_bytes = kPayloadOff + payload.size() + sizeof(uint64_t);
+  if (send_buf_.size() < wire_bytes) {
+    send_buf_.resize(wire_bytes);
+  }
+  const std::span<std::byte> wire(send_buf_.data(), wire_bytes);
+  StoreU32(wire.data() + kIterOff, iter);
+  StoreU32(wire.data() + kBytesOff, static_cast<uint32_t>(payload.size()));
+  std::memcpy(wire.data() + kPayloadOff, payload.data(), payload.size());
+
   Status first_error;
   for (int dst : dsts) {
     if (!group_member_[static_cast<size_t>(dst)]) {
       continue;
     }
-    Status status = PostObject(seg, dst, payload, iter);
+    Status status = PostObject(seg, s, dst, wire, iter);
     if (!status.ok() && first_error.ok()) {
       first_error = status;
     }
@@ -390,19 +399,22 @@ int Dstorm::Gather(SegmentId seg, const std::function<void(const RecvObject&)>& 
 
   const auto& in_edges = s.options.graph.InEdges(rank_);
   const int depth = s.options.queue_depth;
-  // Snapshot arena: each candidate slot's payload + back stamp is copied out
+  // Snapshot arena: each fresh slot's payload + back stamp is copied out
   // through Transport::Read (torn-read detecting) before consume() ever sees
   // it, so under the shmem transport a sender overwriting the slot mid-read
-  // is detected rather than observed. The arena lives on the segment because
-  // RecvObject spans must stay valid after Gather returns (deferred folding).
+  // is detected rather than observed. Stale slots are decided from the header
+  // and never copied. The arena lives on the segment because RecvObject spans
+  // must stay valid after Gather returns (deferred folding).
   const size_t arena_stride = AlignUp8(s.options.obj_bytes + sizeof(uint64_t));
   s.gather_arena.resize(in_edges.size() * static_cast<size_t>(depth) * arena_stride);
 
+  int64_t bytes_copied = 0;
   for (size_t pos = 0; pos < in_edges.size(); ++pos) {
     const int sender = in_edges[pos];
     if (!group_member_[static_cast<size_t>(sender)]) {
       continue;
     }
+    const uint64_t last_consumed = s.last_consumed[static_cast<size_t>(sender)];
     // Collect fresh consistent slots from this sender, oldest first.
     struct Fresh {
       SlotHeader h;
@@ -418,9 +430,21 @@ int Dstorm::Gather(SegmentId seg, const std::function<void(const RecvObject&)>& 
       SlotHeader h;
       const SlotState state = ReadSlot(*transport_, s.recv_mr,
                                        SlotOffset(s, static_cast<int>(pos), slot),
-                                       s.options.obj_bytes, snap, &h);
+                                       s.options.obj_bytes, last_consumed, snap, &h);
       if (state == SlotState::kEmpty) {
         continue;
+      }
+      if (state == SlotState::kStale) {
+        if (checking) {
+          checker.OnSlotRead(rank_, s.recv_mr.rkey, static_cast<int>(pos), slot, h.seq_front,
+                             h.seq_back, h.iter, {}, ProtocolChecker::ReadAction::kSkippedStale,
+                             check_now);
+        }
+        continue;  // already folded
+      }
+      if (h.seq_front != 0) {
+        // Past the header decision: the payload read was issued.
+        bytes_copied += static_cast<int64_t>(h.bytes + sizeof(uint64_t));
       }
       if (state != SlotState::kValid) {
         c_torn_skipped_->Add(1);
@@ -430,14 +454,6 @@ int Dstorm::Gather(SegmentId seg, const std::function<void(const RecvObject&)>& 
                              check_now);
         }
         continue;  // torn (write in flight) — skip, the paper's atomic gather
-      }
-      if (h.seq_front <= s.last_consumed[static_cast<size_t>(sender)]) {
-        if (checking) {
-          checker.OnSlotRead(rank_, s.recv_mr.rkey, static_cast<int>(pos), slot, h.seq_front,
-                             h.seq_back, h.iter, {}, ProtocolChecker::ReadAction::kSkippedStale,
-                             check_now);
-        }
-        continue;  // already folded
       }
       fresh[fresh_count++] = Fresh{h, slot, snap};
     }
@@ -475,6 +491,7 @@ int Dstorm::Gather(SegmentId seg, const std::function<void(const RecvObject&)>& 
   }
   c_gathers_->Add(1);
   c_objects_folded_->Add(consumed);
+  c_gather_bytes_copied_->Add(bytes_copied);
   return consumed;
 }
 
@@ -490,8 +507,8 @@ int64_t Dstorm::PeerIteration(SegmentId seg, int sender) const {
   for (int slot = 0; slot < s.options.queue_depth; ++slot) {
     // A torn slot is skipped: its stamp will be visible next poll.
     SlotHeader h;
-    if (ReadSlot(*transport_, s.recv_mr, SlotOffset(s, pos, slot), s.options.obj_bytes, nullptr,
-                 &h) == SlotState::kValid) {
+    if (ReadSlot(*transport_, s.recv_mr, SlotOffset(s, pos, slot), s.options.obj_bytes,
+                 /*last_consumed=*/0, nullptr, &h) == SlotState::kValid) {
       best = std::max(best, static_cast<int64_t>(h.iter));
     }
   }
@@ -509,8 +526,8 @@ bool Dstorm::FreshAvailable(SegmentId seg) const {
     for (int slot = 0; slot < s.options.queue_depth; ++slot) {
       SlotHeader h;
       if (ReadSlot(*transport_, s.recv_mr, SlotOffset(s, static_cast<int>(pos), slot),
-                   s.options.obj_bytes, nullptr, &h) == SlotState::kValid &&
-          h.seq_front > s.last_consumed[static_cast<size_t>(sender)]) {
+                   s.options.obj_bytes, s.last_consumed[static_cast<size_t>(sender)], nullptr,
+                   &h) == SlotState::kValid) {
         return true;
       }
     }

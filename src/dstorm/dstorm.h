@@ -14,7 +14,14 @@
 //
 // Overwrite-on-full: a sender that laps the reader simply overwrites its
 // oldest slot; Gather folds only not-yet-consumed consistent slots, newest
-// last, per sender.
+// last, per sender. Gather decides staleness from the 16-byte header alone
+// (front stamp <= the sender's last consumed stamp) and copies the payload
+// and back stamp only of fresh slots.
+//
+// Data-plane calls take no locks: each endpoint indexes its own segments
+// through an owner-thread table filled by its own CreateSegment calls, and
+// a scatter builds its slot image once, patching only the stamps per
+// destination.
 //
 // dstorm is transport-agnostic: it programs against Transport/RankCtx
 // (src/comm/transport.h) and runs unchanged over the discrete-event simulator
@@ -54,8 +61,10 @@ struct SegmentOptions {
 struct RecvObject {
   int sender = -1;
   uint32_t iter = 0;  // sender's iteration stamp
-  // Points into the segment's snapshot arena: valid until the next Gather on
-  // the same segment (callers may defer folding past the callback).
+  // Points into the segment's snapshot arena, which holds copies of fresh
+  // slots only (stale ones are skipped from the header, never copied): valid
+  // until the next Gather on the same segment (callers may defer folding past
+  // the callback).
   std::span<const std::byte> bytes;
 };
 
@@ -204,8 +213,10 @@ class alignas(64) Dstorm {
     std::vector<int> next_send_slot;        // per receiver: my next slot index
     std::vector<uint64_t> last_consumed;    // per sender: newest consumed stamp
     // Gather's torn-read-safe slot snapshots, one (payload + back stamp) cell
-    // per (in-edge, slot). RecvObject spans point here, so the storage must
-    // outlive the callback (consumers defer folding); see RecvObject::bytes.
+    // per (in-edge, slot). Only the cells of slots whose header shows a fresh
+    // stamp are written; dstorm.gather_bytes_copied counts those copies.
+    // RecvObject spans point here, so the storage must outlive the callback
+    // (consumers defer folding); see RecvObject::bytes.
     std::vector<std::byte> gather_arena;
   };
 
@@ -218,17 +229,18 @@ class alignas(64) Dstorm {
   // node; later creators must pass matching options.
   SegmentId CreateCollective(const SegmentOptions& options, bool accumulator);
 
-  [[nodiscard]] Status PostObject(SegmentId seg, int dst, std::span<const std::byte> payload, uint32_t iter);
+  // Posts one scatter's slot image `wire` (header | payload | back stamp) to
+  // `dst`, stamping both sequence fields with the destination's next seq.
+  [[nodiscard]] Status PostObject(SegmentId seg, Segment& s, int dst, std::span<std::byte> wire,
+                                  uint32_t iter);
   void DrainCompletions();
   size_t SlotOffset(const Segment& s, int sender_pos, int slot) const;
   // Blocks until the NIC send queue has room, charging the stall and its
   // duration to the fabric.send_queue_stall* counters.
   void WaitForSendRoom();
-  // Indexes segments_ under the domain mutex: the first collective creator
-  // appends to *every* node's list, possibly from another rank's thread.
-  // Element references stay valid unlocked (deque never relocates).
-  Segment& GetSegment(SegmentId seg);
-  const Segment& GetSegment(SegmentId seg) const;
+  // Lock-free lookup through own_segments_; aborts on an id this rank never
+  // created.
+  Segment& GetSegment(SegmentId seg) const;
 
   DstormDomain* domain_;
   Transport* transport_;
@@ -247,6 +259,7 @@ class alignas(64) Dstorm {
   Counter* c_gathers_ = nullptr;
   Counter* c_objects_folded_ = nullptr;
   Counter* c_torn_skipped_ = nullptr;
+  Counter* c_gather_bytes_copied_ = nullptr;
   Counter* c_overwrites_ = nullptr;
   Counter* c_barriers_ = nullptr;
   Counter* c_barrier_timeouts_ = nullptr;
@@ -257,12 +270,19 @@ class alignas(64) Dstorm {
   Counter* c_send_stalls_ = nullptr;
   Counter* c_send_stall_ns_ = nullptr;
 
-  // deque, not vector: the first creator of a later segment appends to this
-  // list from its own thread while this rank may hold a reference to an
-  // earlier element (see GetSegment). Guarded by the domain mutex; element
-  // references stay valid unlocked (deque never relocates).
+  // The cross-rank append target: the first creator of a segment appends it
+  // to *every* node's list, from its own thread, under the domain mutex.
+  // deque, not vector: appends never relocate existing elements, so the
+  // pointers in own_segments_ stay valid without the lock.
   std::deque<Segment> segments_ MALT_GUARDED_BY(domain_->mu_);
-  int created_count_ = 0;  // segments this node has itself created
+  // Owner-thread index by segment id, one entry per segment this node has
+  // created: appended only by this rank's own CreateCollective (under the
+  // domain mutex, which orders any peer's earlier append before it), read
+  // without a lock by every data-plane call.
+  std::vector<Segment*> own_segments_;
+  // ScatterTo's slot-image buffer, reused across calls; grows to the largest
+  // image sent.
+  std::vector<std::byte> send_buf_;
   std::vector<bool> group_member_;
   int64_t group_epoch_ = 0;
   std::vector<bool> peer_failed_;       // error completion seen, not yet taken
@@ -298,8 +318,7 @@ class DstormDomain {
 
   Transport& transport_;
   // Serializes collective segment creation across rank threads (spec
-  // registry, cross-node segments_ appends); also taken (briefly) by
-  // GetSegment.
+  // registry, cross-node segments_ appends). Never taken on the data plane.
   mutable Mutex mu_;
   std::vector<std::unique_ptr<Dstorm>> nodes_;  // fixed at construction
   // Collective-creation registry, by segment id: the first creator's

@@ -285,11 +285,13 @@ class RankKillHarness : public Harness {
 // trailer, built by check::EncodeSlotImage) through ShmemTransport::PostWrite
 // into a slot-striped region on rank 1, with a concurrent-mode
 // ProtocolChecker bound to the transport so every apply is ledgered; rank 1
-// polls the slot with transport Read + check::ParseSlotImage and reports
-// every consumed (or torn) snapshot to the checker. The oracle is the
-// checker itself: any torn-read escape, phantom seq, or duplicate consume
-// increments violation_count(). Too many sync points for exhaustive DFS —
-// this one is PCT-only.
+// polls the slot the way dstorm's Gather reads it: a header Read first, the
+// stale decision from the header alone (reported as a skip with
+// seq_back = seq_front), then a payload + trailer Read decoded with
+// check::ParseSlotImage, reporting every consumed (or torn) snapshot. The
+// oracle is the checker itself: any torn-read escape, phantom seq, stale
+// misjudgement or duplicate consume increments violation_count(). Too many
+// sync points for exhaustive DFS — this one is PCT-only.
 //
 // NOTE: must never call MarkDead here — it stores through the shim while
 // holding a real lock, which would park the scheduler inside a critical
@@ -332,21 +334,44 @@ class DstormSlotHarness : public Harness {
           std::byte snap[kStride];
           uint32_t consumed = 0;
           while (consumed < kIters) {
-            if (!transport_->Read(mr_, 0, std::span<std::byte>(snap, kStride))) {
+            if (!transport_->Read(mr_, 0, std::span<std::byte>(snap, check::kPayloadOff))) {
               MALT_MC_SPIN_YIELD();  // write in flight on the stripe
               continue;
             }
+            uint64_t seq_front = 0;
+            uint32_t iter = 0;
+            uint32_t bytes = 0;
+            std::memcpy(&seq_front, snap + check::kSeqFrontOff, sizeof(seq_front));
+            std::memcpy(&iter, snap + check::kIterOff, sizeof(iter));
+            std::memcpy(&bytes, snap + check::kBytesOff, sizeof(bytes));
+            if (seq_front == 0 || bytes > kObjBytes) {
+              MALT_MC_SPIN_YIELD();  // nothing written yet
+              continue;
+            }
+            if (seq_front <= consumed) {
+              // Stale, decided from the header: payload and trailer unread.
+              checker_.OnSlotRead(/*reader=*/1, mr_.rkey, /*queue_pos=*/0, /*slot=*/0,
+                                  seq_front, seq_front, iter, {},
+                                  ProtocolChecker::ReadAction::kSkippedStale, /*now=*/0);
+              MALT_MC_SPIN_YIELD();
+              continue;
+            }
+            const size_t image = check::kPayloadOff + bytes + sizeof(uint64_t);
+            if (!transport_->Read(mr_, check::kPayloadOff,
+                                  std::span<std::byte>(snap + check::kPayloadOff,
+                                                       image - check::kPayloadOff))) {
+              MALT_MC_SPIN_YIELD();  // overwritten between the two reads
+              continue;
+            }
+            // The header and the tail come from two reads: a write landing
+            // in between shows up as mismatched stamps.
             check::SlotImage img;
-            if (!check::ParseSlotImage(std::span<const std::byte>(snap, kStride), &img) ||
+            if (!check::ParseSlotImage(std::span<const std::byte>(snap, image), &img) ||
                 img.torn()) {
               checker_.OnSlotRead(/*reader=*/1, mr_.rkey, /*queue_pos=*/0, /*slot=*/0,
                                   img.seq_front, img.seq_back, img.iter, {},
                                   ProtocolChecker::ReadAction::kSkippedTorn, /*now=*/0);
               MALT_MC_SPIN_YIELD();
-              continue;
-            }
-            if (img.iter <= consumed) {
-              MALT_MC_SPIN_YIELD();  // stale: nothing new since the last gather
               continue;
             }
             checker_.OnSlotRead(/*reader=*/1, mr_.rkey, /*queue_pos=*/0, /*slot=*/0,

@@ -79,6 +79,7 @@ ShmemTransport::ShmemTransport(int nodes, ShmemOptions options, TelemetryDomain*
       edges_(static_cast<size_t>(nodes) * static_cast<size_t>(nodes)),
       stats_(nodes),
       regions_(static_cast<size_t>(nodes)),
+      region_index_(static_cast<size_t>(nodes) * kMaxRegionsPerNode),
       next_wr_id_(static_cast<size_t>(nodes), 1) {
   MALT_CHECK(nodes >= 1) << "shmem transport needs at least one rank";
   MALT_CHECK(telemetry_->ranks() >= nodes) << "telemetry domain smaller than transport";
@@ -138,10 +139,15 @@ void ShmemTransport::AccountPost(int src, int dst, size_t bytes, bool float_add)
 
 MrHandle ShmemTransport::RegisterMemory(int node, size_t bytes, size_t guard_stripe_bytes) {
   MALT_CHECK(node >= 0 && node < nodes_) << "bad node " << node;
-  WriterMutexLock lock(region_mu_);
+  MutexLock lock(region_mu_);
   auto& list = regions_[static_cast<size_t>(node)];
+  MALT_CHECK(list.size() < kMaxRegionsPerNode)
+      << "region index full on node " << node << " (" << kMaxRegionsPerNode << " regions)";
   list.push_back(std::make_unique<Region>(bytes, guard_stripe_bytes));
-  return MrHandle{node, static_cast<uint32_t>(list.size() - 1)};
+  const auto rkey = static_cast<uint32_t>(list.size() - 1);
+  region_index_[static_cast<size_t>(node) * kMaxRegionsPerNode + rkey].store(
+      list.back().get(), std::memory_order_release);
+  return MrHandle{node, rkey};
 }
 
 void ShmemTransport::DeregisterMemory(MrHandle mr) {
@@ -151,15 +157,11 @@ void ShmemTransport::DeregisterMemory(MrHandle mr) {
 }
 
 ShmemTransport::Region* ShmemTransport::FindRegion(MrHandle mr) const {
-  if (!mr.valid() || mr.node >= nodes_) {
+  if (!mr.valid() || mr.node >= nodes_ || mr.rkey >= kMaxRegionsPerNode) {
     return nullptr;
   }
-  ReaderMutexLock lock(region_mu_);
-  const auto& list = regions_[static_cast<size_t>(mr.node)];
-  if (mr.rkey >= list.size()) {
-    return nullptr;
-  }
-  return list[mr.rkey].get();  // unique_ptr target is stable after unlock
+  return region_index_[static_cast<size_t>(mr.node) * kMaxRegionsPerNode + mr.rkey].load(
+      std::memory_order_acquire);
 }
 
 std::span<std::byte> ShmemTransport::Data(MrHandle mr) {
@@ -396,7 +398,7 @@ void ShmemTransport::MarkDead(int node) {
   MALT_CHECK(node >= 0 && node < nodes_) << "bad node " << node;
   alive_[static_cast<size_t>(node)].store(false, std::memory_order_release);
   // The HCA is gone: the dead node's regions stop accepting remote writes.
-  ReaderMutexLock lock(region_mu_);
+  MutexLock lock(region_mu_);
   for (const auto& region : regions_[static_cast<size_t>(node)]) {
     if (region != nullptr) {
       region->registered.store(false, std::memory_order_release);

@@ -146,6 +146,10 @@ class ShmemTransport : public Transport {
   [[nodiscard]] Status SetReachable(int a, int b, bool reachable) override;
   bool Reachable(int a, int b) const override;
 
+  // Region-index capacity per node: registering more regions on one node
+  // aborts. dstorm uses two fixed regions plus one per segment.
+  static constexpr size_t kMaxRegionsPerNode = 256;
+
   // Fail-stop: marks `node` dead. Subsequent writes to it complete with
   // kRemoteDead (the signal fault monitors key off). Called by the runtime's
   // kill watchdog and when a rank's thread unwinds on ProcessKilled.
@@ -189,7 +193,8 @@ class ShmemTransport : public Transport {
     HistogramMetric* delivery_ns;
   };
 
-  // Region lookup under the shared lock; null when the handle names nothing.
+  // Lock-free region lookup: one acquire load from the region index; null
+  // when the handle names nothing.
   Region* FindRegion(MrHandle mr) const;
   void GuardedStore(Region& region, size_t offset, std::span<const std::byte> data);
   void PushCompletion(int src, const Completion& c);
@@ -209,13 +214,16 @@ class ShmemTransport : public Transport {
   TrafficStats stats_;
 
   // Registration is rare (collective segment creation before training) and
-  // lookup is hot; a reader/writer lock keeps lookups concurrent. Regions are
-  // held by unique_ptr so pointers stay stable across registrations — a
-  // Region* obtained under the lock stays valid after release (its seqlock
-  // guards and atomic flags carry the per-slot protection from there).
-  mutable SharedMutex region_mu_;
+  // lookup is hot. Ownership, registration and MarkDead's sweep stay under
+  // region_mu_; lookups never take it. RegisterMemory publishes each Region*
+  // into the fixed-capacity index with release, and FindRegion reads it with
+  // one acquire load. Regions are held by unique_ptr and never freed before
+  // the transport, so a looked-up pointer stays valid (its seqlock guards and
+  // atomic flags carry the per-slot protection from there).
+  Mutex region_mu_;
   std::vector<std::vector<std::unique_ptr<Region>>> regions_
       MALT_GUARDED_BY(region_mu_);  // [node][rkey]
+  std::vector<mc::atomic<Region*>> region_index_;  // [node * kMaxRegionsPerNode + rkey]
 
   std::deque<CompletionRing> cq_;          // [node]; deque: ring is immovable
   std::vector<uint64_t> next_wr_id_;       // [node]; only node's thread posts

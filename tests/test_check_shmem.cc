@@ -157,6 +157,45 @@ TEST(CheckShmem, InjectedTornWriteCaughtExactlyOnce) {
   EXPECT_EQ(cluster.checker.violation_count(), 1) << cluster.checker.ReportJson();
 }
 
+// A reader that decides staleness from the header alone can misjudge a fresh
+// slot. Planted: rank 0 reads only the 16-byte header of rank 1's committed,
+// never-consumed object and reports it stale (seq_back = seq_front, the way
+// Gather reports a header-only skip). That must fire exactly one
+// seq_discipline; the honest Gather that follows consumes the object cleanly.
+TEST(CheckShmem, HeaderOnlyStaleSkipOfFreshSeqCaughtExactlyOnce) {
+  const int n = 2;
+  CheckedCluster cluster(n);
+  std::atomic<int> consumed{0};
+
+  cluster.Run([&](int rank, Dstorm& d, ShmemRankCtx& ctx) {
+    SegmentOptions opts;
+    opts.obj_bytes = 8;
+    opts.graph = RingGraph(n);
+    opts.queue_depth = 2;
+    const SegmentId seg = d.CreateSegment(opts);
+    const MrHandle mine{0, static_cast<uint32_t>(seg) + 2};
+    if (rank == 1) {
+      const double v = 3.0;
+      ASSERT_TRUE(d.Scatter(seg, AsBytes(&v, sizeof(v)), 1).ok());
+      ASSERT_TRUE(d.Barrier().ok());
+      return;
+    }
+    ASSERT_TRUE(d.Barrier().ok());
+    // Rank 0's only queue belongs to sender 1; slot 0 holds seq 1.
+    std::byte header[check::kPayloadOff];
+    ctx.Wait([&] { return cluster.transport.Read(mine, 0, header); });
+    const uint64_t seq = LoadU64(header + check::kSeqFrontOff);
+    ASSERT_EQ(seq, 1u);
+    cluster.checker.OnSlotRead(0, mine.rkey, /*queue_pos=*/0, /*slot=*/0, seq, seq, 1, {},
+                               ReadAction::kSkippedStale, ctx.Now());
+    consumed.fetch_add(d.Gather(seg, [](const RecvObject&) {}));
+  });
+
+  EXPECT_EQ(consumed.load(), 1);
+  EXPECT_EQ(cluster.checker.CountFor(check::kSeqDiscipline), 1) << cluster.checker.ReportJson();
+  EXPECT_EQ(cluster.checker.violation_count(), 1) << cluster.checker.ReportJson();
+}
+
 // Forging a delayed rank's barrier-arrival counter lets the other ranks sail
 // through the barrier without it: every rank that exits must be flagged for
 // breaking barrier separation against the rank that never entered.

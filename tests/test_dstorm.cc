@@ -1,6 +1,7 @@
 // dstorm tests: collective segment creation, scatter/gather delivery over
 // various dataflow graphs, overwrite-on-full, torn-write protection,
-// per-sender freshness, barrier, and group-membership changes.
+// per-sender freshness, copy accounting, bad segment ids, barrier, and
+// group-membership changes.
 
 #include "src/dstorm/dstorm.h"
 
@@ -191,6 +192,55 @@ TEST(Dstorm, TornWriteSkippedThenConsumed) {
   const MetricRegistry& metrics = cluster.fabric.telemetry().rank(1).metrics;
   EXPECT_EQ(metrics.CounterValue("dstorm.torn_slots_skipped"), 1);
   EXPECT_EQ(metrics.CounterValue("dstorm.objects_folded"), 1);
+}
+
+TEST(Dstorm, GatherCopiesOnlyFreshSlots) {
+  // One 64-byte object into a depth-4 queue, gathered twice. The first
+  // gather copies its payload + back stamp (72 bytes) and folds it; the
+  // second decides from the header that the slot is stale and copies
+  // nothing. The checker sees exactly one stale skip, reported with matching
+  // stamps (a mismatched pair would be a seqlock_protocol violation).
+  ProtocolChecker checker(CheckLevel::kFull, 2);
+  SimCluster cluster(2, FastNet(), &checker);
+  const MetricRegistry& metrics = cluster.fabric.telemetry().rank(1).metrics;
+  int first = -1;
+  int second = -1;
+  int64_t copied_first = -1;
+  int64_t copied_second = -1;
+  int64_t stale_events = -1;
+  bool fresh_after = true;
+  cluster.Run([&](int rank, Dstorm& d, Process&) {
+    SegmentOptions opts;
+    opts.obj_bytes = 64;
+    opts.graph = RingGraph(2);
+    opts.queue_depth = 4;
+    const SegmentId seg = d.CreateSegment(opts);
+    if (rank == 0) {
+      std::vector<std::byte> payload(64, std::byte{0x3C});
+      ASSERT_TRUE(d.Scatter(seg, payload, 1).ok());
+      ASSERT_TRUE(d.Flush().ok());
+      ASSERT_TRUE(d.Barrier().ok());
+      return;
+    }
+    ASSERT_TRUE(d.Barrier().ok());
+    first = d.Gather(seg, [](const RecvObject&) {});
+    copied_first = metrics.CounterValue("dstorm.gather_bytes_copied");
+    const int64_t events_before = checker.events_checked();
+    second = d.Gather(seg, [](const RecvObject&) {});
+    stale_events = checker.events_checked() - events_before;
+    copied_second = metrics.CounterValue("dstorm.gather_bytes_copied") - copied_first;
+    fresh_after = d.FreshAvailable(seg);
+  });
+  EXPECT_EQ(first, 1);
+  EXPECT_EQ(copied_first, 64 + 8);
+  EXPECT_EQ(second, 0);
+  EXPECT_EQ(copied_second, 0);
+  EXPECT_FALSE(fresh_after);
+  // The three never-written slots report nothing; the written one is a
+  // stale skip (neither consumed nor torn).
+  EXPECT_EQ(stale_events, 1);
+  EXPECT_EQ(metrics.CounterValue("dstorm.torn_slots_skipped"), 0);
+  EXPECT_EQ(checker.violation_count(), 0) << checker.ReportJson();
 }
 
 TEST(Dstorm, BarrierSynchronizesClocks) {
@@ -394,6 +444,22 @@ TEST(DstormDeathTest, QueueDepthAboveSixteenRejectedAtCreation) {
   EXPECT_DEATH((void)cluster.domain.node(0).CreateSegment(opts), "queue depth must be in");
   opts.queue_depth = 16;  // the largest supported depth is accepted
   EXPECT_EQ(cluster.domain.node(0).CreateSegment(opts), 0);
+}
+
+TEST(DstormDeathTest, UnknownSegmentIdAborts) {
+  // Rank 0's creation materializes segment 0 on rank 1's node too, but rank 1
+  // never created it: data-plane calls with that id (or any id out of range)
+  // must abort rather than index past the rank's own segment table.
+  SimCluster cluster(2);
+  SegmentOptions opts;
+  opts.obj_bytes = 8;
+  opts.graph = AllToAllGraph(2);
+  ASSERT_EQ(cluster.domain.node(0).CreateSegment(opts), 0);
+  auto ignore = [](const RecvObject&) {};
+  EXPECT_DEATH(cluster.domain.node(1).Gather(0, ignore), "rank 1 has no segment 0");
+  EXPECT_DEATH(cluster.domain.node(0).Gather(1, ignore), "rank 0 has no segment 1");
+  EXPECT_DEATH((void)cluster.domain.node(0).FreshAvailable(-1), "rank 0 has no segment -1");
+  EXPECT_EQ(cluster.domain.node(0).Gather(0, ignore), 0);  // its own id still works
 }
 
 }  // namespace

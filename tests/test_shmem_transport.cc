@@ -230,5 +230,31 @@ TEST(ShmemTransport, CompletionRingDropsWhenFull) {
   EXPECT_EQ(t.PollCq(0, c), 4);  // capacity kept; the rest counted as dropped
 }
 
+TEST(ShmemTransportDeathTest, RegionIndexOverflowAbortsAtRegistration) {
+  // Lookups are one load from a fixed-capacity per-node index, so a node
+  // cannot hold more regions than the index; the overflow aborts when it is
+  // registered, not on a later lookup.
+  ShmemTransport t(2);
+  for (size_t i = 0; i < ShmemTransport::kMaxRegionsPerNode; ++i) {
+    ASSERT_EQ(t.RegisterMemory(1, 8).rkey, i);
+  }
+  EXPECT_DEATH((void)t.RegisterMemory(1, 8), "region index full on node 1");
+  // The other node's index is untouched, and the last entry still resolves.
+  EXPECT_EQ(t.RegisterMemory(0, 8).rkey, 0u);
+  const uint64_t v = 9;
+  const MrHandle last{1, static_cast<uint32_t>(ShmemTransport::kMaxRegionsPerNode - 1)};
+  t.Write(last, 0, AsBytes(&v, sizeof(v)));
+  uint64_t back = 0;
+  ASSERT_TRUE(t.Read(last, 0, std::span<std::byte>(reinterpret_cast<std::byte*>(&back), 8)));
+  EXPECT_EQ(back, v);
+  // A handle past the index names nothing.
+  const MrHandle beyond{1, static_cast<uint32_t>(ShmemTransport::kMaxRegionsPerNode)};
+  auto wr = t.PostWrite(0, t.now(), beyond, 0, AsBytes(&v, sizeof(v)));
+  ASSERT_TRUE(wr.ok());
+  Completion c[1];
+  ASSERT_EQ(t.PollCq(0, c), 1);
+  EXPECT_EQ(c[0].status, WcStatus::kInvalidRkey);
+}
+
 }  // namespace
 }  // namespace malt
