@@ -4,8 +4,9 @@
 // The paper counts LOC modified + added per application (~15% of each app).
 // We measure the same thing on this repository's applications: total LOC of
 // each app wrapper and the subset that is MALT-specific (vector creation,
-// scatter/gather/barrier, sharding, fault hooks, cost charging) — the lines
-// a developer adds to an existing serial trainer.
+// scatter/gather/barrier or the ModelSync round that wraps them, sharding,
+// fault hooks, cost charging) — the lines a developer adds to an existing
+// serial trainer.
 
 #include <cctype>
 #include <cstdio>
@@ -34,6 +35,7 @@ bool IsMaltApiLine(const std::string& line) {
       "MaltVector",   "ChargeFlops", "ChargeSeconds", "monitor()", "SspWait",
       "Worker&",      "MaltOptions", "set_iteration", "dstorm()",  "recorder()",
       "FreshAvailable", "RunSvm", "RunMf", "RunNn", "Malt ",
+      "ModelSync",    ".Round()",    ".Finish()",
   };
   for (const char* marker : kMarkers) {
     if (line.find(marker) != std::string::npos) {

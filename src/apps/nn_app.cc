@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/base/log.h"
+#include "src/core/model_sync.h"
 
 namespace malt {
 
@@ -24,21 +25,18 @@ NnRunResult RunDistributedNn(Malt& malt, const NnAppConfig& config) {
     Mlp mlp(l1.data(), l2.data(), l3.data(), mlp_opts);
     mlp.Init(w.options().seed);  // identical init on every replica
 
-    // Delta bookkeeping for gradient interleaving: snapshot of each layer at
-    // the last agreement point.
-    const bool use_deltas = config.mixing != NnAppConfig::Mixing::kModelAvg;
-    std::vector<std::vector<float>> snapshots;
-    if (use_deltas) {
-      for (MaltVector* v : {&l1, &l2, &l3}) {
-        snapshots.emplace_back(v->data().begin(), v->data().end());
-      }
-    }
+    // §4.1.3: layer deltas every round, whole models every
+    // model_sync_every-th round (kInterleaved), or whole models every round.
+    ModelSync model_sync(w, {&l1, &l2, &l3},
+                         config.mixing == NnAppConfig::Mixing::kModelAvg
+                             ? ModelSync::Mixing::kModelAverage
+                             : ModelSync::Mixing::kDeltaSum,
+                         config.model_sync_every);
 
     bool reshard = true;
     w.monitor().AddRecoveryListener([&reshard](const std::vector<int>&) { reshard = true; });
 
     Worker::Shard shard;
-    uint32_t batch = 0;
     int64_t examples_done = 0;
     int64_t next_eval = 1;
     int64_t eval_stride = 1;
@@ -48,71 +46,6 @@ NnRunResult RunDistributedNn(Malt& malt, const NnAppConfig& config) {
         return;
       }
       rec.Record("auc_vs_time", w.now_seconds(), mlp.TestAuc(data.test));
-    };
-
-    const size_t total_params = l1.dim() + l2.dim() + l3.dim();
-
-    auto comm_round = [&] {
-      ++batch;
-      const bool model_round =
-          config.mixing == NnAppConfig::Mixing::kModelAvg ||
-          (config.mixing == NnAppConfig::Mixing::kInterleaved &&
-           batch % static_cast<uint32_t>(std::max(1, config.model_sync_every)) == 0);
-      MaltVector* layers[] = {&l1, &l2, &l3};
-      if (use_deltas && !model_round) {
-        // Convert each layer in place to its delta since the last agreement
-        // point (the snapshot stays put until the deltas are folded back).
-        for (int layer = 0; layer < 3; ++layer) {
-          std::span<float> v = layers[layer]->data();
-          const std::vector<float>& snap = snapshots[static_cast<size_t>(layer)];
-          for (size_t i = 0; i < v.size(); ++i) {
-            v[i] -= snap[i];
-          }
-        }
-        w.ChargeFlops(static_cast<double>(total_params));
-      }
-      for (MaltVector* v : layers) {
-        v->set_iteration(batch);
-        const Status status = v->Scatter();
-        if (!status.ok() && status.code() != StatusCode::kUnavailable) {
-          MALT_LOG_S(kWarning) << "rank " << w.rank() << " NN scatter: " << status.ToString();
-        }
-      }
-      w.ChargeSeconds(6e-7 * static_cast<double>(l1.graph().OutEdges(w.rank()).size()));
-      if (w.options().sync == SyncMode::kBSP) {
-        (void)w.dstorm().Flush();
-        MALT_CHECK(w.Barrier().ok());
-      }
-      int received = 0;
-      if (use_deltas && !model_round) {
-        // Apply own delta plus peers' deltas on top of the snapshot.
-        for (int layer = 0; layer < 3; ++layer) {
-          received += layers[layer]->GatherSum().received;
-          std::span<float> v = layers[layer]->data();
-          std::vector<float>& snap = snapshots[static_cast<size_t>(layer)];
-          for (size_t i = 0; i < v.size(); ++i) {
-            v[i] += snap[i];  // weights = snapshot + summed deltas
-            snap[i] = v[i];
-          }
-        }
-        w.ChargeFlops(2.0 * static_cast<double>(total_params));
-      } else {
-        for (MaltVector* v : layers) {
-          received += v->GatherAverage().received;
-        }
-        if (use_deltas) {
-          for (int layer = 0; layer < 3; ++layer) {
-            std::span<float> v = layers[layer]->data();
-            std::copy(v.begin(), v.end(), snapshots[static_cast<size_t>(layer)].begin());
-          }
-        }
-      }
-      w.ChargeFlops(2.0 * static_cast<double>(total_params) *
-                    (static_cast<double>(received) / 3.0 + 1.0));
-      if (w.options().sync == SyncMode::kSSP) {
-        w.SspWait(l1);
-      }
-      (void)w.monitor().CheckAndRecover();
     };
 
     for (int epoch = 0; epoch < config.epochs; ++epoch) {
@@ -134,7 +67,7 @@ NnRunResult RunDistributedNn(Malt& malt, const NnAppConfig& config) {
         const bool end_of_shard = i + 1 == shard.end;
         if (in_batch >= config.cb_size || end_of_shard) {
           w.ChargeFlops(batch_flops);
-          comm_round();
+          model_sync.Round();
           in_batch = 0;
           batch_flops = 0;
           if (examples_done >= next_eval) {
@@ -143,15 +76,8 @@ NnRunResult RunDistributedNn(Malt& malt, const NnAppConfig& config) {
           }
         }
       }
-      rec.Count("epochs");
     }
-    (void)w.dstorm().Flush();
-    if (w.options().sync != SyncMode::kASP) {
-      (void)w.Barrier();
-    }
-    for (MaltVector* v : {&l1, &l2, &l3}) {
-      v->GatherAverage();
-    }
+    model_sync.Finish();
     evaluate();
     rec.Set("finish_seconds", w.now_seconds());
     if (is_probe_rank) {

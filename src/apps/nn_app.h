@@ -3,9 +3,10 @@
 //
 // Parallel training of a non-convex model needs whole-model synchronization,
 // not just gradients (§4.1.3), so each of the three layers gets its own
-// dense MaltVector and replicas fold peers' parameters with the average UDF
-// every `cb_size` examples. Every layer can in principle use its own
-// dataflow; here all three share the run's graph.
+// dense MaltVector, the MLP trains in place in their local copies, and every
+// `cb_size` examples one ModelSync round (src/core/model_sync.h) exchanges
+// layer deltas or whole layers across replicas. Every layer can in principle
+// use its own dataflow; here all three share the run's graph.
 
 #ifndef SRC_APPS_NN_APP_H_
 #define SRC_APPS_NN_APP_H_
@@ -25,11 +26,10 @@ struct NnAppConfig {
   int evals_per_epoch = 2;
   // §4.1.3: "just sending the gradients is not sufficient [for non-convex
   // models] ... gradient synchronization needs to be interleaved with whole
-  // model synchronization." kInterleaved applies peers' layer deltas each
-  // round and averages whole models every model_sync_every rounds (default);
-  // kModelAvg averages whole models every round (dampened); kDeltaSum never
-  // re-synchronizes models (replicas may drift into different minima).
-  enum class Mixing { kInterleaved, kModelAvg, kDeltaSum } mixing = Mixing::kInterleaved;
+  // model synchronization." kInterleaved sums peers' layer deltas each round
+  // and averages whole models every model_sync_every rounds (0: never);
+  // kModelAvg averages whole models every round (dampened).
+  enum class Mixing { kInterleaved, kModelAvg } mixing = Mixing::kInterleaved;
   int model_sync_every = 8;  // rounds between whole-model averaging
 };
 

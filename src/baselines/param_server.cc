@@ -145,19 +145,7 @@ PsRunResult RunDistributedPsSvm(Malt& malt, const PsSvmConfig& config) {
         }
         w.ChargeFlops(static_cast<double>(data.dim));
         if (config.sparse_push) {
-          nz_indices.clear();
-          for (uint32_t i = 0; i < g.size(); ++i) {
-            if (g[i] != 0.0f) {
-              nz_indices.push_back(i);
-            }
-          }
-          if (nz_indices.size() > max_nnz) {
-            std::nth_element(nz_indices.begin(), nz_indices.begin() + max_nnz, nz_indices.end(),
-                             [&g](uint32_t a, uint32_t b) {
-                               return std::abs(g[a]) > std::abs(g[b]);
-                             });
-            nz_indices.resize(max_nnz);
-          }
+          LargestMagnitudeIndices(g, max_nnz, &nz_indices);
           status = up.ScatterIndices(nz_indices);
         } else {
           status = up.Scatter();

@@ -33,9 +33,6 @@ class Recorder {
     return it == counters_.end() ? 0.0 : it->second;
   }
 
-  const std::map<std::string, Series>& AllSeries() const { return series_; }
-  const std::map<std::string, double>& AllCounters() const { return counters_; }
-
   // Folds another rank's recorder into this one: counters add, series points
   // append in source order (benches merge per-rank curves into cluster-wide
   // ones this way).
@@ -50,20 +47,6 @@ class Recorder {
     }
     for (const auto& [name, value] : other.counters_) {
       counters_[name] += value;
-    }
-  }
-
-  // Const visitation without exposing the map types at call sites.
-  template <typename Fn>
-  void ForEachSeries(Fn&& fn) const {
-    for (const auto& [name, s] : series_) {
-      fn(name, s);
-    }
-  }
-  template <typename Fn>
-  void ForEachCounter(Fn&& fn) const {
-    for (const auto& [name, value] : counters_) {
-      fn(name, value);
     }
   }
 

@@ -221,7 +221,6 @@ class Malt {
 
   // Post-run accessors.
   Recorder& recorder(int rank) { return recorders_[static_cast<size_t>(rank)]; }
-  const std::vector<Recorder>& recorders() const { return recorders_; }
   bool rank_survived(int rank) const;
   int survivors() const;
 

@@ -1,6 +1,7 @@
 #include "src/vol/malt_vector.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <limits>
 
@@ -14,6 +15,23 @@ namespace {
 size_t SparseWireBytes(size_t max_nnz) { return 4 + max_nnz * 8; }
 
 }  // namespace
+
+void LargestMagnitudeIndices(std::span<const float> values, size_t max_nnz,
+                             std::vector<uint32_t>* out) {
+  out->clear();
+  for (uint32_t i = 0; i < values.size(); ++i) {
+    if (values[i] != 0.0f) {
+      out->push_back(i);
+    }
+  }
+  if (out->size() > max_nnz) {
+    std::nth_element(out->begin(), out->begin() + static_cast<std::ptrdiff_t>(max_nnz),
+                     out->end(), [values](uint32_t a, uint32_t b) {
+                       return std::abs(values[a]) > std::abs(values[b]);
+                     });
+    out->resize(max_nnz);
+  }
+}
 
 MaltVector::MaltVector(Dstorm& dstorm, MaltVectorOptions options)
     : dstorm_(dstorm), options_(std::move(options)) {

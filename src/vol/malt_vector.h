@@ -59,6 +59,13 @@ struct MaltVectorOptions {
   Graph graph;          // dataflow (must be strongly connected)
 };
 
+// Gradient filter (one of the optimizations §6.2 mentions): sets `out` to the
+// indices of the nonzero entries of `values`, scanned in ascending index
+// order; when more than `max_nnz` are nonzero, keeps only the `max_nnz` of
+// largest magnitude, in nth_element's order. Feeds ScatterIndices.
+void LargestMagnitudeIndices(std::span<const float> values, size_t max_nnz,
+                             std::vector<uint32_t>* out);
+
 class MaltVector {
  public:
   // Collective: every replica must create the same vectors in the same order
@@ -70,6 +77,8 @@ class MaltVector {
   const std::string& name() const { return options_.name; }
   size_t dim() const { return options_.dim; }
   Layout layout() const { return options_.layout; }
+  // Sparse wire capacity in entries (dim for dense vectors).
+  size_t max_nnz() const { return options_.max_nnz; }
 
   // The local primary copy (Fig. 1: replica i trains using V_i).
   std::span<float> data() { return local_; }

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/comm/graph.h"
 #include "src/vol/accumulator.h"
 #include "tests/sim_cluster.h"
@@ -104,6 +106,21 @@ TEST(MaltVector, SparseNnzOverflowRejected) {
       EXPECT_EQ(s.code(), StatusCode::kResourceExhausted);
     }
   });
+}
+
+TEST(LargestMagnitudeIndices, KeepsAllNonzerosInIndexOrderUnderCapacity) {
+  const std::vector<float> g = {0.0f, -3.0f, 0.0f, 1.0f, 2.0f};
+  std::vector<uint32_t> out = {99};  // stale contents are cleared
+  LargestMagnitudeIndices(g, 3, &out);
+  EXPECT_EQ(out, (std::vector<uint32_t>{1, 3, 4}));
+}
+
+TEST(LargestMagnitudeIndices, FiltersToTheLargestMagnitudes) {
+  const std::vector<float> g = {0.5f, -3.0f, 0.0f, 1.0f, 2.0f, -0.25f};
+  std::vector<uint32_t> out;
+  LargestMagnitudeIndices(g, 2, &out);
+  std::sort(out.begin(), out.end());
+  EXPECT_EQ(out, (std::vector<uint32_t>{1, 4}));
 }
 
 TEST(MaltVector, GatherReplaceHogwild) {
