@@ -119,7 +119,8 @@ void BM_SparseEncodeScatter(benchmark::State& state) {
 BENCHMARK(BM_SparseEncodeScatter)->Arg(100)->Arg(10000)->Unit(benchmark::kMicrosecond);
 
 void BM_EngineContextSwitch(benchmark::State& state) {
-  // Cost of one baton handoff (Advance + reschedule) with N processes.
+  // Cost of one engine slice (Advance, a fiber switch to the scheduler and
+  // back) with N processes.
   const int nodes = static_cast<int>(state.range(0));
   for (auto _ : state) {
     Engine engine;

@@ -8,8 +8,8 @@
 // cmake option) and zero-cost documentation under gcc.
 //
 // Scoped holders (MutexLock, SpinLockHolder, ReaderMutexLock, ...) are the
-// default way to take a lock. UniqueLock is the relockable holder for
-// condition_variable_any waits (the sim engine's baton handoff).
+// way to take a lock. The simulator engine takes none of these: its ranks are
+// fibers on the one thread that calls Engine::Run() (src/sim/engine.h).
 
 #ifndef SRC_BASE_MUTEX_H_
 #define SRC_BASE_MUTEX_H_
@@ -41,26 +41,6 @@ class MALT_CAPABILITY("mutex") Mutex {
 
  private:
   std::mutex mu_;
-};
-
-// Recursive mutex. NOTE: the clang analysis does not model reentrancy — a
-// function that acquires a RecursiveMutex it already holds (via a REQUIRES
-// path) is diagnosed as a double-acquire. Keep reentrant entry points
-// analysis-opaque (take the lock in a function without a REQUIRES annotation,
-// as Engine::ScheduleEvent does) or AssertHeld() instead of relocking.
-class MALT_CAPABILITY("mutex") RecursiveMutex {
- public:
-  RecursiveMutex() = default;
-  RecursiveMutex(const RecursiveMutex&) = delete;
-  RecursiveMutex& operator=(const RecursiveMutex&) = delete;
-
-  void lock() MALT_ACQUIRE() { mu_.lock(); }
-  void unlock() MALT_RELEASE() { mu_.unlock(); }
-  bool try_lock() MALT_TRY_ACQUIRE(true) { return mu_.try_lock(); }
-  void AssertHeld() const MALT_ASSERT_CAPABILITY(this) {}
-
- private:
-  std::recursive_mutex mu_;
 };
 
 // Reader/writer mutex.
@@ -122,17 +102,6 @@ class MALT_SCOPED_CAPABILITY MutexLock {
   Mutex& mu_;
 };
 
-class MALT_SCOPED_CAPABILITY RecursiveMutexLock {
- public:
-  explicit RecursiveMutexLock(RecursiveMutex& mu) MALT_ACQUIRE(mu) : mu_(mu) { mu_.lock(); }
-  ~RecursiveMutexLock() MALT_RELEASE() { mu_.unlock(); }
-  RecursiveMutexLock(const RecursiveMutexLock&) = delete;
-  RecursiveMutexLock& operator=(const RecursiveMutexLock&) = delete;
-
- private:
-  RecursiveMutex& mu_;
-};
-
 class MALT_SCOPED_CAPABILITY SpinLockHolder {
  public:
   explicit SpinLockHolder(SpinLock& mu) MALT_ACQUIRE(mu) : mu_(mu) { mu_.lock(); }
@@ -168,38 +137,6 @@ class MALT_SCOPED_CAPABILITY ReaderMutexLock {
 
  private:
   SharedMutex& mu_;
-};
-
-// Relockable scoped holder over RecursiveMutex, meeting BasicLockable so it
-// can be handed to std::condition_variable_any::wait (which unlocks/relocks
-// it internally; those calls live in a system header, where the analysis is
-// silent by design). Used by the sim engine's scheduler/process baton
-// handoff.
-class MALT_SCOPED_CAPABILITY UniqueLock {
- public:
-  explicit UniqueLock(RecursiveMutex& mu) MALT_ACQUIRE(mu) : mu_(mu), owned_(true) {
-    mu_.lock();
-  }
-  ~UniqueLock() MALT_RELEASE() {
-    if (owned_) {
-      mu_.unlock();
-    }
-  }
-  UniqueLock(const UniqueLock&) = delete;
-  UniqueLock& operator=(const UniqueLock&) = delete;
-
-  void lock() MALT_ACQUIRE() {
-    mu_.lock();
-    owned_ = true;
-  }
-  void unlock() MALT_RELEASE() {
-    owned_ = false;
-    mu_.unlock();
-  }
-
- private:
-  RecursiveMutex& mu_;
-  bool owned_;
 };
 
 }  // namespace malt

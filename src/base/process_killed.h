@@ -1,7 +1,7 @@
 // Fail-stop unwinding: the exception a rank's stack unwinds with when the rank
 // is killed (RankCtx::KillSelf, src/comm/transport.h). The simulator engine
 // throws it at the victim's next yield point and catches it at the top of the
-// process wrapper; the shmem runtime throws it from ShmemRankCtx's
+// victim's fiber; the shmem runtime throws it from ShmemRankCtx's
 // cancellation points and catches it at the top of the rank thread. Training
 // code may catch and rethrow it (e.g. RAII cleanup, FaultMonitor::GuardLocal)
 // but must not swallow it.

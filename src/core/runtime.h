@@ -4,8 +4,9 @@
 // code once, it runs on every replica".
 //
 // Two execution backends (MaltOptions::transport):
-//   - kSim: replicas are cooperative simulator processes over the Fabric
-//     (virtual time, network modeling, failure injection, protocol checking).
+//   - kSim: replicas are cooperative simulator processes (fibers on the
+//     calling thread) over the Fabric (virtual time, network modeling,
+//     failure injection, protocol checking).
 //   - kShmem: replicas are real concurrent OS threads over the shared-memory
 //     transport (wall-clock time; see src/shmem/). Same worker body, same
 //     dstorm semantics; kills are delivered by a watchdog thread via

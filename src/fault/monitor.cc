@@ -1,6 +1,7 @@
 #include "src/fault/monitor.h"
 
 #include <exception>
+#include <string>
 
 #include "src/base/log.h"
 #include "src/base/process_killed.h"
@@ -88,19 +89,24 @@ void FaultMonitor::Recover(const std::vector<int>& removed) {
 }
 
 void FaultMonitor::GuardLocal(const std::function<void()>& fn) {
+  std::string fault;
   try {
     fn();
+    return;
   } catch (const ProcessKilled&) {
     throw;  // engine-injected kill: unwind normally
   } catch (const std::exception& e) {
-    // The paper's local fault monitor traps processor exceptions (divide by
-    // zero, segfault, ...) and terminates the local training process; peers
-    // then observe the dead node through failed writes.
-    c_local_faults_->Add(1);
-    MALT_LOG_S(kError) << "rank " << dstorm_.rank()
-                       << ": local fault trapped: " << e.what() << "; terminating replica";
-    dstorm_.ctx().KillSelf();  // unwinds via ProcessKilled
+    fault = e.what();
   }
+  // The paper's local fault monitor traps processor exceptions (divide by
+  // zero, segfault, ...) and terminates the local training process; peers
+  // then observe the dead node through failed writes. The kill happens after
+  // the handler has closed: on the simulator KillSelf() yields, and a rank
+  // must not yield inside a catch handler (src/sim/engine.h).
+  c_local_faults_->Add(1);
+  MALT_LOG_S(kError) << "rank " << dstorm_.rank() << ": local fault trapped: " << fault
+                     << "; terminating replica";
+  dstorm_.ctx().KillSelf();  // unwinds via ProcessKilled
 }
 
 }  // namespace malt

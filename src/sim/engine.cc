@@ -1,28 +1,73 @@
 #include "src/sim/engine.h"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <algorithm>
-#include <cstdio>
+#include <cstdlib>
+#include <exception>
 
 #include "src/base/log.h"
+
+#if defined(MALT_SANITIZE_ADDRESS)
+#include <sanitizer/asan_interface.h>
+#endif
+#if defined(MALT_SANITIZE_THREAD)
+#include <sanitizer/tsan_interface.h>
+#endif
 
 namespace malt {
 
 // ---------------------------------------------------------------------------
 // Concurrency model
 //
-// Exactly one thread touches simulator state at any instant: either the
-// scheduler (inside Run(), while every process thread is parked) or a single
-// process thread that owns the baton (while the scheduler is parked in a
-// condition wait). The mutex exists for the handoff protocol and for memory
-// visibility across handoffs; application state needs no further locking.
-// mu_ is recursive because event callbacks (run under the scheduler with the
-// lock held) may call ScheduleEvent().
+// Every process body runs on its own fiber, and every fiber runs on the
+// thread that called Run(). Control moves only by swapcontext: the scheduler
+// switches to one process (RunProcessSlice), which runs until its next yield
+// point and switches back (YieldFromProcess). Exactly one piece of code
+// touches simulator state at any instant, so none of it is locked, and event
+// callbacks may call ScheduleEvent() freely.
+//
+// Under ASan and TSan each switch is announced to the sanitizer, which
+// otherwise mistakes a stack change for stack corruption (ASan) or loses
+// happens-before between fibers (TSan).
 // ---------------------------------------------------------------------------
+
+namespace {
+
+// The same size as a default thread stack. The mapping reserves no memory up
+// front (MAP_NORESERVE), so only the pages a body touches cost anything.
+constexpr size_t kStackBytes = size_t{8} << 20;
+
+size_t PageBytes() { return static_cast<size_t>(sysconf(_SC_PAGESIZE)); }
+
+// Tells ASan which stack the next swapcontext lands on. `fake_stack_save` is
+// null when the current fiber is leaving for good.
+void AsanStartSwitch([[maybe_unused]] void** fake_stack_save, [[maybe_unused]] const void* bottom,
+                     [[maybe_unused]] size_t size) {
+#if defined(MALT_SANITIZE_ADDRESS)
+  __sanitizer_start_switch_fiber(fake_stack_save, bottom, size);
+#endif
+}
+
+void AsanFinishSwitch([[maybe_unused]] void* fake_stack,
+                      [[maybe_unused]] const void** bottom_old,
+                      [[maybe_unused]] size_t* size_old) {
+#if defined(MALT_SANITIZE_ADDRESS)
+  __sanitizer_finish_switch_fiber(fake_stack, bottom_old, size_old);
+#endif
+}
+
+void TsanSwitch([[maybe_unused]] void* fiber) {
+#if defined(MALT_SANITIZE_THREAD)
+  __tsan_switch_to_fiber(fiber, 0);  // flags 0: the switch synchronizes
+#endif
+}
+
+}  // namespace
 
 void Process::Advance(SimDuration dt) {
   MALT_CHECK(dt >= 0) << "Advance with negative duration " << dt;
-  // The baton guarantees exclusive access; the scheduler reads clock_ only
-  // after the state change inside YieldFromProcess (which synchronizes).
   clock_ += dt;
   engine_->YieldFromProcess(*this, ProcState::kRunnable);
 }
@@ -65,10 +110,12 @@ void Process::CheckKilled() {
   }
 }
 
-Engine::Engine() = default;
-
 Engine::~Engine() {
-  // Run() joins all threads; if Run() was never called, no threads started.
+  // Run() releases every fiber as its body finishes; this covers an engine
+  // that never ran to completion.
+  for (const auto& proc : procs_) {
+    ReleaseFiber(*proc);
+  }
 }
 
 int Engine::AddProcess(std::string name, std::function<void(Process&)> body) {
@@ -86,19 +133,12 @@ void Engine::ScheduleKill(int pid, SimTime when) {
   // Validated at fire time: kills are routinely scheduled before processes
   // are registered (test setup, experiment scripts).
   ScheduleEvent(when, [this, pid] {
-    // Event callbacks run under the scheduler with mu_ held (ApplyEvent);
-    // the analysis cannot see that through the std::function indirection.
-    mu_.AssertHeld();
     MALT_CHECK(pid >= 0 && pid < static_cast<int>(procs_.size())) << "bad pid " << pid;
     KillProcess(*procs_[static_cast<size_t>(pid)]);
   });
 }
 
 void Engine::ScheduleEvent(SimTime when, std::function<void()> fn) {
-  // Deliberately reentrant (event callbacks call this with mu_ held); the
-  // recursive mutex makes that safe at runtime, and keeping this function
-  // free of REQUIRES keeps the unsupported-by-analysis reentrancy local.
-  RecursiveMutexLock lock(mu_);
   events_.push(Event{when, next_event_seq_++, std::move(fn)});
 }
 
@@ -106,28 +146,99 @@ void Engine::AddKillHook(std::function<void(int pid)> hook) {
   kill_hooks_.push_back(std::move(hook));
 }
 
-bool Engine::alive(int pid) const {
-  RecursiveMutexLock lock(mu_);
-  const ProcState s = procs_[static_cast<size_t>(pid)]->state_;
-  return s != ProcState::kKilled;
+bool Engine::alive(int pid) const { return state(pid) != ProcState::kKilled; }
+
+ProcState Engine::state(int pid) const { return procs_[static_cast<size_t>(pid)]->state_; }
+
+void Engine::StartFiber(Process& p) {
+  const size_t page = PageBytes();
+  void* map = mmap(nullptr, page + kStackBytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK, -1, 0);
+  MALT_CHECK(map != MAP_FAILED) << "cannot map a fiber stack for " << p.name_;
+  // The stack grows down: an overflow hits this page and faults.
+  MALT_CHECK(mprotect(map, page, PROT_NONE) == 0) << "cannot guard the stack of " << p.name_;
+  p.stack_map_ = map;
+  MALT_CHECK(getcontext(&p.context_) == 0);
+  p.context_.uc_stack.ss_sp = static_cast<char*>(map) + page;
+  p.context_.uc_stack.ss_size = kStackBytes;
+  p.context_.uc_link = nullptr;  // RunFiber never returns
+  // makecontext passes int-sized arguments only, so the pointer travels in
+  // two halves.
+  const auto bits = reinterpret_cast<uintptr_t>(&p);
+  makecontext(&p.context_, reinterpret_cast<void (*)()>(&Engine::FiberEntry), 2,
+              static_cast<unsigned int>(bits >> 32), static_cast<unsigned int>(bits));
+#if defined(MALT_SANITIZE_THREAD)
+  p.tsan_fiber_ = __tsan_create_fiber(0);
+#endif
 }
 
-ProcState Engine::state(int pid) const {
-  RecursiveMutexLock lock(mu_);
-  return procs_[static_cast<size_t>(pid)]->state_;
+void Engine::ReleaseFiber(Process& p) {
+  if (p.stack_map_ == nullptr) {
+    return;
+  }
+#if defined(MALT_SANITIZE_THREAD)
+  __tsan_destroy_fiber(p.tsan_fiber_);
+  p.tsan_fiber_ = nullptr;
+#endif
+  const size_t bytes = PageBytes() + kStackBytes;
+#if defined(MALT_SANITIZE_ADDRESS)
+  // Drop the finished body's stale poisoning before the range is reused.
+  ASAN_UNPOISON_MEMORY_REGION(p.stack_map_, bytes);
+#endif
+  MALT_CHECK(munmap(p.stack_map_, bytes) == 0) << "cannot unmap the stack of " << p.name_;
+  p.stack_map_ = nullptr;
+}
+
+void Engine::FiberEntry(unsigned int ptr_hi, unsigned int ptr_lo) {
+  auto* p = reinterpret_cast<Process*>((static_cast<uintptr_t>(ptr_hi) << 32) | ptr_lo);
+  p->engine_->RunFiber(*p);
+}
+
+void Engine::RunFiber(Process& p) {
+  AsanFinishSwitch(nullptr, &scheduler_stack_bottom_, &scheduler_stack_size_);
+  // Any other exception escaping the body ends the program (std::terminate),
+  // as it would escaping a thread.
+  bool killed = false;
+  try {
+    p.CheckKilled();
+    p.body_(p);
+  } catch (const ProcessKilled&) {
+    killed = true;
+  }
+  p.state_ = (killed || p.kill_pending_) ? ProcState::kKilled : ProcState::kDone;
+  // Leave for good: the scheduler resumes in SwitchToProcess and releases
+  // this stack.
+  AsanStartSwitch(nullptr, scheduler_stack_bottom_, scheduler_stack_size_);
+  TsanSwitch(scheduler_tsan_fiber_);
+  setcontext(&scheduler_context_);
+  std::abort();  // unreachable: setcontext does not return on success
+}
+
+void Engine::SwitchToProcess(Process& p) {
+  AsanStartSwitch(&scheduler_fake_stack_, p.context_.uc_stack.ss_sp,
+                  p.context_.uc_stack.ss_size);
+  TsanSwitch(p.tsan_fiber_);
+  MALT_CHECK(swapcontext(&scheduler_context_, &p.context_) == 0);
+  AsanFinishSwitch(scheduler_fake_stack_, nullptr, nullptr);
+}
+
+void Engine::SwitchToScheduler(Process& p) {
+  AsanStartSwitch(&p.asan_fake_stack_, scheduler_stack_bottom_, scheduler_stack_size_);
+  TsanSwitch(scheduler_tsan_fiber_);
+  MALT_CHECK(swapcontext(&p.context_, &scheduler_context_) == 0);
+  AsanFinishSwitch(p.asan_fake_stack_, &scheduler_stack_bottom_, &scheduler_stack_size_);
 }
 
 void Engine::YieldFromProcess(Process& p, ProcState new_state) {
-  UniqueLock lock(mu_);
+  MALT_CHECK(std::current_exception() == nullptr)
+      << "process " << p.name_ << " yields inside a catch handler (see engine.h)";
   p.state_ = new_state;
-  scheduler_cv_.notify_all();
-  p.cv_.wait(lock, [&p] { return p.state_ == ProcState::kRunning; });
-  lock.unlock();
+  SwitchToScheduler(p);
   p.CheckKilled();
 }
 
 void Engine::KillProcess(Process& p) {
-  // Runs in event context (scheduler thread, lock held).
+  // Runs in event context (on the scheduler).
   if (p.state_ == ProcState::kDone || p.state_ == ProcState::kKilled || p.kill_pending_) {
     return;
   }
@@ -163,8 +274,7 @@ void Engine::ReevaluateBlocked(SimTime wake_time) {
   }
 }
 
-void Engine::ApplyEvent(UniqueLock& lock, Event event) {
-  (void)lock;
+void Engine::ApplyEvent(Event event) {
   // now() is the time of the current dispatch. It is not globally monotonic
   // across dispatches (a coarse process slice may already have run past this
   // event's time); consumers needing ordering use absolute event times.
@@ -172,65 +282,24 @@ void Engine::ApplyEvent(UniqueLock& lock, Event event) {
   if (trace_enabled_) {
     trace_.push_back("E@" + std::to_string(event.when));
   }
-  if (capture_enabled_) {
-    event_times_.push_back(event.when);
-  }
   event.fn();
   ++stats_.events_applied;
   ReevaluateBlocked(event.when);
 }
 
-void Engine::RunProcessSlice(UniqueLock& lock, Process& p) {
+void Engine::RunProcessSlice(Process& p) {
   current_time_ = p.clock_;
   if (trace_enabled_) {
     trace_.push_back("P" + std::to_string(p.pid_) + "@" + std::to_string(p.clock_));
   }
-  const SimTime slice_begin = p.clock_;
   p.state_ = ProcState::kRunning;
-  p.cv_.notify_all();
-  scheduler_cv_.wait(lock, [&p] { return p.state_ != ProcState::kRunning; });
+  SwitchToProcess(p);
   ++stats_.slices_run;
   current_time_ = p.clock_;
-  if (capture_enabled_ && p.clock_ > slice_begin) {
-    slices_.push_back(Slice{p.pid_, slice_begin, p.clock_});
+  if (p.state_ == ProcState::kDone || p.state_ == ProcState::kKilled) {
+    ReleaseFiber(p);
   }
   ReevaluateBlocked(p.clock_);
-}
-
-Status Engine::WriteChromeTrace(const std::string& path) const {
-  if (!capture_enabled_) {
-    return FailedPreconditionError("EnableScheduleCapture() was not called before Run()");
-  }
-  std::FILE* out = std::fopen(path.c_str(), "w");
-  if (out == nullptr) {
-    return InternalError("cannot write '" + path + "'");
-  }
-  // Chrome trace format: JSON array of events; ts/dur are microseconds.
-  std::fputs("[\n", out);
-  bool first = true;
-  for (const Slice& s : slices_) {
-    std::fprintf(out, "%s{\"name\":\"compute\",\"ph\":\"X\",\"pid\":0,\"tid\":%d,"
-                      "\"ts\":%.3f,\"dur\":%.3f}",
-                 first ? "" : ",\n", s.pid, static_cast<double>(s.begin) / 1000.0,
-                 static_cast<double>(s.end - s.begin) / 1000.0);
-    first = false;
-  }
-  for (SimTime t : event_times_) {
-    std::fprintf(out, "%s{\"name\":\"net\",\"ph\":\"i\",\"pid\":0,\"tid\":-1,"
-                      "\"ts\":%.3f,\"s\":\"g\"}",
-                 first ? "" : ",\n", static_cast<double>(t) / 1000.0);
-    first = false;
-  }
-  for (const auto& proc : procs_) {
-    std::fprintf(out,
-                 "%s{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":%d,"
-                 "\"args\":{\"name\":\"%s\"}}",
-                 first ? "" : ",\n", proc->pid_, proc->name_.c_str());
-    first = false;
-  }
-  std::fputs("\n]\n", out);
-  const bool ok = std::fclose(out) == 0;
-  return ok ? OkStatus() : InternalError("write error on '" + path + "'");
 }
 
 void Engine::ReportDeadlock() {
@@ -246,30 +315,13 @@ void Engine::ReportDeadlock() {
 }
 
 void Engine::Run() {
-  UniqueLock lock(mu_);
   MALT_CHECK(!running_) << "Engine::Run called twice";
   running_ = true;
-
+#if defined(MALT_SANITIZE_THREAD)
+  scheduler_tsan_fiber_ = __tsan_get_current_fiber();
+#endif
   for (const auto& proc : procs_) {
-    Process* p = proc.get();
-    p->thread_ = std::thread([this, p] {
-      {
-        UniqueLock thread_lock(mu_);
-        p->cv_.wait(thread_lock, [p] { return p->state_ == ProcState::kRunning; });
-      }
-      bool killed = false;
-      try {
-        p->CheckKilled();
-        p->body_(*p);
-      } catch (const ProcessKilled&) {
-        killed = true;
-      }
-      {
-        RecursiveMutexLock thread_lock(mu_);
-        p->state_ = (killed || p->kill_pending_) ? ProcState::kKilled : ProcState::kDone;
-        scheduler_cv_.notify_all();
-      }
-    });
+    StartFiber(*proc);
   }
 
   for (;;) {
@@ -305,7 +357,7 @@ void Engine::Run() {
       // Drain remaining events (e.g. in-flight writes after all ranks done).
       Event event = events_.top();
       events_.pop();
-      ApplyEvent(lock, std::move(event));
+      ApplyEvent(std::move(event));
       continue;
     }
 
@@ -333,7 +385,7 @@ void Engine::Run() {
       case 0: {
         Event event = events_.top();
         events_.pop();
-        ApplyEvent(lock, std::move(event));
+        ApplyEvent(std::move(event));
         break;
       }
       case 1: {
@@ -347,18 +399,11 @@ void Engine::Run() {
         break;
       }
       case 2: {
-        RunProcessSlice(lock, *best_proc);
+        RunProcessSlice(*best_proc);
         break;
       }
       default:
         ReportDeadlock();
-    }
-  }
-
-  lock.unlock();
-  for (const auto& proc : procs_) {
-    if (proc->thread_.joinable()) {
-      proc->thread_.join();
     }
   }
 }

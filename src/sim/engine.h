@@ -1,11 +1,13 @@
 // Deterministic discrete-event cluster simulator.
 //
 // This module replaces the paper's physical cluster (8 machines, 56 Gbps
-// InfiniBand). Every cluster node ("rank") runs as a real OS thread executing
-// real application code, but only one thread runs at a time: the engine hands
-// a baton to the process whose virtual clock is smallest, or applies the
-// earliest pending network event. Virtual time is integer nanoseconds, so the
-// schedule — and therefore every experiment — is exactly reproducible.
+// InfiniBand). Every cluster node ("rank") runs real application code on its
+// own fiber (a ucontext with an mmap'd stack). All fibers run on the one OS
+// thread that calls Run(): the engine switches to the process whose virtual
+// clock is smallest, or applies the earliest pending network event, and the
+// process switches back at its next yield point. Nothing runs concurrently,
+// so simulator state needs no locks. Virtual time is integer nanoseconds, so
+// the schedule — and therefore every experiment — is exactly reproducible.
 //
 // Processes interact with virtual time through three calls:
 //   Advance(dt)      — consume dt of modeled compute time, then yield.
@@ -18,26 +20,30 @@
 // writes visible at exactly their arrival time.
 //
 // Failure injection: ScheduleKill(pid, t) terminates a process at its first
-// yield point at or after t (fail-stop). Kill hooks let higher layers mark
-// the node's memory regions dead.
+// yield point at or after t (fail-stop): ProcessKilled unwinds the victim's
+// own fiber. Kill hooks let higher layers mark the node's memory regions dead.
+//
+// Rule: a process must not yield (Advance, Yield, Wait*, SleepUntil) inside a
+// catch handler. The C++ runtime keeps the stack of caught exceptions per OS
+// thread, so every fiber shares it; a handler that yields could have another
+// fiber's exception popped from under it. Record what the handler needs and
+// act after it closes (FaultMonitor::GuardLocal does). The yield path checks
+// this rule.
 
 #ifndef SRC_SIM_ENGINE_H_
 #define SRC_SIM_ENGINE_H_
 
-#include <condition_variable>
+#include <ucontext.h>
+
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <queue>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "src/base/mutex.h"
 #include "src/base/process_killed.h"
-#include "src/base/status.h"
-#include "src/base/thread_annotations.h"
 #include "src/base/time_units.h"
 
 namespace malt {
@@ -45,15 +51,15 @@ namespace malt {
 class Engine;
 
 enum class ProcState : uint8_t {
-  kRunnable,  // wants the baton
-  kRunning,   // owns the baton
+  kRunnable,  // wants to run
+  kRunning,   // its fiber is the one executing
   kBlocked,   // waiting on a predicate
   kDone,      // body returned
   kKilled,    // terminated by failure injection
 };
 
-// Handle passed to process bodies. All methods must be called from the owning
-// process thread while it holds the baton (i.e. from inside the body).
+// Handle passed to process bodies. All methods must be called from the
+// process's own fiber (i.e. from inside the body), never from a catch handler.
 class Process {
  public:
   int pid() const { return pid_; }
@@ -90,15 +96,20 @@ class Process {
   std::string name_;
   SimTime clock_ = 0;
 
-  // Scheduler-owned state (guarded by Engine::mu_).
+  // Scheduler-owned state.
   ProcState state_ = ProcState::kRunnable;
   std::function<bool()> pred_;
   SimTime deadline_ = -1;  // -1: none
   bool timed_out_ = false;
   bool kill_pending_ = false;
-  std::condition_variable_any cv_;
-  std::thread thread_;
   std::function<void(Process&)> body_;
+
+  // The fiber: saved context and stack mapping (guard page included; null
+  // before Run() and once the body has finished).
+  ucontext_t context_{};
+  void* stack_map_ = nullptr;
+  void* asan_fake_stack_ = nullptr;
+  void* tsan_fiber_ = nullptr;
 };
 
 struct EngineStats {
@@ -109,7 +120,7 @@ struct EngineStats {
 
 class Engine {
  public:
-  Engine();
+  Engine() = default;
   ~Engine();
 
   Engine(const Engine&) = delete;
@@ -147,14 +158,6 @@ class Engine {
   void EnableTrace() { trace_enabled_ = true; }
   const std::vector<std::string>& trace() const { return trace_; }
 
-  // Structured schedule capture for visualization. Enable before Run();
-  // after Run(), WriteChromeTrace() emits a chrome://tracing-compatible JSON
-  // file: one track per process with its compute slices, plus instant events
-  // for applied network events. Virtual nanoseconds map to microseconds in
-  // the trace (the viewer's native unit).
-  void EnableScheduleCapture() { capture_enabled_ = true; }
-  [[nodiscard]] Status WriteChromeTrace(const std::string& path) const;
-
  private:
   friend class Process;
 
@@ -167,45 +170,39 @@ class Engine {
     }
   };
 
-  // Called from process threads (with mu_ held inside).
+  // Fiber plumbing: the entry point, one switch in each direction, and the
+  // stack's lifetime.
+  static void FiberEntry(unsigned int ptr_hi, unsigned int ptr_lo);
+  [[noreturn]] void RunFiber(Process& p);
+  void SwitchToProcess(Process& p);
+  void SwitchToScheduler(Process& p);
+  void StartFiber(Process& p);
+  void ReleaseFiber(Process& p);
+
+  // Called from a process's fiber.
   void YieldFromProcess(Process& p, ProcState new_state);
 
-  // Scheduler internals (mu_ held; the UniqueLock reference is what the
-  // condition waits relock).
-  void ApplyEvent(UniqueLock& lock, Event event) MALT_REQUIRES(mu_);
-  void RunProcessSlice(UniqueLock& lock, Process& p) MALT_REQUIRES(mu_);
-  void ReevaluateBlocked(SimTime wake_time) MALT_REQUIRES(mu_);
-  void KillProcess(Process& p) MALT_REQUIRES(mu_);
+  // Scheduler internals.
+  void ApplyEvent(Event event);
+  void RunProcessSlice(Process& p);
+  void ReevaluateBlocked(SimTime wake_time);
+  void KillProcess(Process& p);
   [[noreturn]] void ReportDeadlock();
 
-  // Recursive: event callbacks (run with the lock held) may ScheduleEvent().
-  struct Slice {
-    int pid;
-    SimTime begin;
-    SimTime end;
-  };
-
-  // Recursive (see the Slice comment above): event callbacks run with the
-  // lock held and may re-enter ScheduleEvent. The clang analysis does not
-  // model reentrancy, so ScheduleEvent stays annotation-opaque (no REQUIRES)
-  // and its inner acquisition is invisible to callers' lock sets.
-  mutable RecursiveMutex mu_;
-  std::condition_variable_any scheduler_cv_;
-  // procs_ is append-only before Run(); Process's scheduler-owned fields are
-  // protected by the baton-handoff protocol (one runnable thread at a time),
-  // which the analysis cannot express — see DESIGN.md §9.
   std::vector<std::unique_ptr<Process>> procs_;
-  std::priority_queue<Event, std::vector<Event>, std::greater<Event>> events_
-      MALT_GUARDED_BY(mu_);
-  uint64_t next_event_seq_ MALT_GUARDED_BY(mu_) = 0;
+  std::priority_queue<Event, std::vector<Event>, std::greater<Event>> events_;
+  uint64_t next_event_seq_ = 0;
   std::vector<std::function<void(int)>> kill_hooks_;
   SimTime current_time_ = 0;
   bool running_ = false;
   bool trace_enabled_ = false;
   std::vector<std::string> trace_;
-  bool capture_enabled_ = false;
-  std::vector<Slice> slices_;
-  std::vector<SimTime> event_times_;
+  // The Run() caller's context, resumed whenever a process yields.
+  ucontext_t scheduler_context_{};
+  void* scheduler_fake_stack_ = nullptr;
+  const void* scheduler_stack_bottom_ = nullptr;
+  size_t scheduler_stack_size_ = 0;
+  void* scheduler_tsan_fiber_ = nullptr;
   EngineStats stats_;
 };
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "src/comm/graph.h"
 #include "tests/sim_cluster.h"
@@ -136,6 +137,32 @@ TEST(FaultMonitor, GuardLocalTrapsExceptionAndKillsReplica) {
   });
   EXPECT_FALSE(after_guard_reached);
   EXPECT_FALSE(cluster.engine.alive(0));
+}
+
+TEST(FaultMonitor, SimultaneousLocalFaultsKillBothRanksCleanly) {
+  // Ranks 0 and 1 trap a fault at the same virtual instant, so each one's
+  // kill is pending while the other traps its own; the survivors finish.
+  SimCluster cluster(4);
+  int survivors_finished = 0;
+  cluster.Run([&](int rank, Dstorm& d, FaultMonitor& monitor, Process& p) {
+    p.SleepUntil(50'000);
+    if (rank < 2) {
+      monitor.GuardLocal([rank] {
+        throw std::runtime_error("simulated fault on rank " + std::to_string(rank));
+      });
+      ADD_FAILURE() << "rank " << rank << " survived its local fault";
+      return;
+    }
+    p.SleepUntil(200'000);
+    EXPECT_FALSE(d.ProbePeer(0));
+    EXPECT_FALSE(d.ProbePeer(1));
+    ++survivors_finished;
+  });
+  EXPECT_EQ(survivors_finished, 2);
+  EXPECT_EQ(cluster.engine.state(0), ProcState::kKilled);
+  EXPECT_EQ(cluster.engine.state(1), ProcState::kKilled);
+  EXPECT_EQ(cluster.engine.state(2), ProcState::kDone);
+  EXPECT_EQ(cluster.engine.state(3), ProcState::kDone);
 }
 
 TEST(FaultMonitor, GuardLocalPassesThroughNormally) {

@@ -1,17 +1,49 @@
 // Tests for the discrete-event engine: virtual-time ordering, blocking,
-// deadlines, kill injection, and determinism.
+// deadlines, kill injection, determinism, and the fibers processes run on.
 
 #include "src/sim/engine.h"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <cstdint>
 #include <fstream>
+#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 namespace malt {
 namespace {
+
+// True if some mapping in /proc/self/maps contains `addr`.
+bool IsMapped(uintptr_t addr) {
+  std::ifstream maps("/proc/self/maps");
+  std::string line;
+  while (std::getline(maps, line)) {
+    std::istringstream range(line);
+    uintptr_t begin = 0;
+    uintptr_t end = 0;
+    char dash = 0;
+    range >> std::hex >> begin >> dash >> end;
+    if (addr >= begin && addr < end) {
+      return true;
+    }
+  }
+  return false;
+}
+
+// Recurses `depth` frames of at least 4 KiB each, advancing virtual time at
+// the bottom so the deep stack is switched away from and back to.
+int RecurseThenAdvance(Process& p, int depth) {
+  volatile char frame[4096];
+  frame[0] = static_cast<char>(depth);
+  frame[sizeof(frame) - 1] = 1;
+  if (depth == 0) {
+    p.Advance(10);
+    return frame[0];
+  }
+  return RecurseThenAdvance(p, depth - 1) + frame[sizeof(frame) - 1];
+}
 
 TEST(Engine, SingleProcessAdvancesClock) {
   Engine engine;
@@ -156,7 +188,7 @@ TEST(Engine, DeterministicTraceAcrossRuns) {
 TEST(Engine, ManyProcessesAllFinish) {
   Engine engine;
   int finished = 0;
-  for (int pid = 0; pid < 32; ++pid) {
+  for (int pid = 0; pid < 256; ++pid) {
     engine.AddProcess("p" + std::to_string(pid), [&, pid](Process& p) {
       for (int i = 0; i < 5; ++i) {
         p.Advance(1 + pid);
@@ -165,7 +197,7 @@ TEST(Engine, ManyProcessesAllFinish) {
     });
   }
   engine.Run();
-  EXPECT_EQ(finished, 32);
+  EXPECT_EQ(finished, 256);
 }
 
 TEST(Engine, EventChainSchedulesFromEventContext) {
@@ -184,40 +216,6 @@ TEST(Engine, EventChainSchedulesFromEventContext) {
   EXPECT_EQ(fired.back(), 500);
 }
 
-TEST(Engine, ChromeTraceWritesValidJson) {
-  Engine engine;
-  engine.EnableScheduleCapture();
-  engine.ScheduleEvent(150, [] {});
-  engine.AddProcess("worker-a", [](Process& p) {
-    p.Advance(100);
-    p.Advance(200);
-  });
-  engine.AddProcess("worker-b", [](Process& p) { p.Advance(50); });
-  engine.Run();
-  const std::string path = ::testing::TempDir() + "/trace.json";
-  ASSERT_TRUE(engine.WriteChromeTrace(path).ok());
-
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::string content((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-  EXPECT_EQ(content.front(), '[');
-  EXPECT_NE(content.find("\"name\":\"compute\""), std::string::npos);
-  EXPECT_NE(content.find("\"name\":\"net\""), std::string::npos);
-  EXPECT_NE(content.find("worker-a"), std::string::npos);
-  // Balanced braces (cheap well-formedness check).
-  EXPECT_EQ(std::count(content.begin(), content.end(), '{'),
-            std::count(content.begin(), content.end(), '}'));
-}
-
-TEST(Engine, ChromeTraceRequiresCapture) {
-  Engine engine;
-  engine.AddProcess("p", [](Process& p) { p.Advance(1); });
-  engine.Run();
-  EXPECT_EQ(engine.WriteChromeTrace("/tmp/never.json").code(),
-            StatusCode::kFailedPrecondition);
-}
-
 TEST(Engine, YieldDoesNotAdvanceTime) {
   Engine engine;
   engine.AddProcess("p", [&](Process& p) {
@@ -226,6 +224,83 @@ TEST(Engine, YieldDoesNotAdvanceTime) {
     EXPECT_EQ(p.now(), 42);
   });
   engine.Run();
+}
+
+TEST(Engine, DeepRecursionFitsOnAFiberStack) {
+  Engine engine;
+  int result = 0;
+  engine.AddProcess("deep", [&](Process& p) { result = RecurseThenAdvance(p, 384); });
+  engine.AddProcess("other", [](Process& p) { p.Advance(5); });
+  engine.Run();
+  EXPECT_EQ(result, 384);  // 384 frames x 4 KiB = 1.5 MiB of stack
+  EXPECT_EQ(engine.state(0), ProcState::kDone);
+}
+
+TEST(Engine, KilledProcessRunsItsDestructorsWhileOthersContinue) {
+  struct Guard {
+    bool* destroyed;
+    ~Guard() { *destroyed = true; }
+  };
+  Engine engine;
+  bool destroyed = false;
+  bool victim_finished = false;
+  std::vector<SimTime> finished_at;
+  const int victim = engine.AddProcess("victim", [&](Process& p) {
+    Guard guard{&destroyed};
+    for (int i = 0; i < 100; ++i) {
+      p.Advance(100);
+    }
+    victim_finished = true;
+  });
+  for (int pid = 0; pid < 3; ++pid) {
+    engine.AddProcess("worker" + std::to_string(pid), [&](Process& p) {
+      for (int i = 0; i < 100; ++i) {
+        p.Advance(100);
+      }
+      finished_at.push_back(p.now());
+    });
+  }
+  engine.ScheduleKill(victim, 1000);
+  engine.Run();
+  EXPECT_TRUE(destroyed);
+  EXPECT_FALSE(victim_finished);
+  EXPECT_EQ(engine.state(victim), ProcState::kKilled);
+  EXPECT_EQ(finished_at, (std::vector<SimTime>{10'000, 10'000, 10'000}));
+}
+
+TEST(Engine, EnginesRunBackToBackAndUnmapTheirStacks) {
+  for (int round = 0; round < 2; ++round) {
+    Engine engine;
+    uintptr_t stack_addr = 0;
+    bool mapped_while_running = false;
+    engine.AddProcess("p", [&](Process& p) {
+      // The frame address, not a local's: ASan may move locals to a fake
+      // stack.
+      stack_addr = reinterpret_cast<uintptr_t>(__builtin_frame_address(0));
+      mapped_while_running = IsMapped(stack_addr);
+      p.Advance(1);
+    });
+    engine.Run();
+    EXPECT_EQ(engine.state(0), ProcState::kDone) << "round " << round;
+    EXPECT_TRUE(mapped_while_running) << "round " << round;
+    EXPECT_FALSE(IsMapped(stack_addr)) << "round " << round << ": stack still mapped";
+  }
+}
+
+TEST(EngineDeathTest, YieldInsideACatchHandlerAborts) {
+  EXPECT_DEATH(
+      {
+        Engine engine;
+        engine.AddProcess("p", [](Process& p) {
+          try {
+            throw std::runtime_error("fault");
+          } catch (const std::exception&) {
+            p.Advance(1);
+          }
+        });
+        engine.Run();
+      },
+      "yields inside a catch handler");
 }
 
 }  // namespace
