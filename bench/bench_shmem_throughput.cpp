@@ -8,12 +8,19 @@
 //   dstorm: full protocol rounds (Scatter + Gather with slot stamps, torn
 //           detection, freshness) over an all-to-all dataflow, reporting
 //           aggregate scattered MB/s and gathered objects/s.
+// Then two overhead sections rerun the dstorm rounds at --overhead_ranks:
+// tracing (flow events + NDJSON sampling off vs on) and the concurrent
+// protocol checker (DESIGN.md §9) at each level off|cheap|full. The
+// checker's apply hooks run in the sender's store path and its read hooks in
+// the gather path, so off-vs-cheap prices the lock-striped ledger and
+// cheap-vs-full the payload hashing. A checker violation exits nonzero.
 //
 // Unlike the fig* benches these numbers are host wall-clock, not virtual
 // time: scaling with rank count demonstrates the backend runs ranks as
 // genuinely concurrent threads.
 //
 //   bench_shmem_throughput [--ranks=1,2,4,8] [--bytes=1024,65536] [--iters=2000]
+//                          [--overhead_ranks=8]
 
 #include <algorithm>
 #include <atomic>
@@ -28,6 +35,7 @@
 
 #include "src/base/flags.h"
 #include "src/base/log.h"
+#include "src/check/check.h"
 #include "src/comm/graph.h"
 #include "src/dstorm/dstorm.h"
 #include "src/shmem/rank_ctx.h"
@@ -97,12 +105,13 @@ struct DstormRates {
 // to also run the wall-clock NDJSON sampler alongside the workers (the
 // observability-overhead configuration). `warmup` rounds run untimed first
 // inside the same transport, so one-time costs (trace-ring page faults, lazy
-// per-edge metric resolution) don't pollute the measured window.
+// per-edge metric resolution) don't pollute the measured window. Pass a
+// concurrent-mode `checker` to validate every apply and gather read.
 DstormRates DstormRounds(int ranks, size_t bytes, int iters,
                          TelemetryDomain* telemetry = nullptr,
                          MetricsStreamer* streamer = nullptr, int sample_interval_ms = 0,
-                         int warmup = 0) {
-  ShmemTransport t(ranks, ShmemOptions{}, telemetry);
+                         int warmup = 0, ProtocolChecker* checker = nullptr) {
+  ShmemTransport t(ranks, ShmemOptions{}, telemetry, checker);
   DstormDomain domain(t, ranks, telemetry);
   std::vector<std::unique_ptr<ShmemRankCtx>> ctxs;
   for (int rank = 0; rank < ranks; ++rank) {
@@ -191,7 +200,7 @@ int main(int argc, char** argv) {
       malt::ParseIntList(flags.GetString("bytes", "1024,65536", "object sizes to sweep"));
   const int iters = static_cast<int>(flags.GetInt("iters", 2000, "posts/rounds per rank"));
   const int overhead_ranks = static_cast<int>(
-      flags.GetInt("overhead_ranks", 8, "rank count for the tracing-overhead section (0 = skip)"));
+      flags.GetInt("overhead_ranks", 8, "rank count for the overhead sections (0 = skip)"));
   flags.Finish();
 
   std::printf("# shmem transport throughput (wall-clock), %d iters/rank\n", iters);
@@ -259,6 +268,35 @@ int main(int argc, char** argv) {
           static_cast<double>(overhead_ranks) * iters * (overhead_ranks - 1) * bytes;
       std::printf("%-8d %12.1f %12.1f %9.2f%%\n", bytes, total_bytes / off_secs / 1e6,
                   total_bytes / on_secs / 1e6, (on_secs - off_secs) / off_secs * 100.0);
+    }
+
+    // Checker overhead: the same rounds under the concurrent checker (no
+    // barriers, so the raciest load it faces), single-shot per level.
+    std::printf("\n# checker overhead: dstorm rounds, %d ranks, concurrent checker\n",
+                overhead_ranks);
+    std::printf("%-6s %-8s %12s %14s %12s %10s\n", "check", "bytes", "MB/s", "gathered/s",
+                "events", "violations");
+    for (const int bytes : byte_list) {
+      for (const malt::CheckLevel level :
+           {malt::CheckLevel::kOff, malt::CheckLevel::kCheap, malt::CheckLevel::kFull}) {
+        malt::ProtocolChecker checker(level, overhead_ranks);
+        checker.SetConcurrent(true);
+        const malt::DstormRates r = malt::DstormRounds(
+            overhead_ranks, static_cast<size_t>(bytes), iters, nullptr, nullptr, 0, 0, &checker);
+        const double total_bytes =
+            static_cast<double>(overhead_ranks) * iters * (overhead_ranks - 1) * bytes;
+        std::printf("%-6s %-8d %12.1f %14.0f %12lld %10lld\n", malt::ToString(level).c_str(),
+                    bytes, total_bytes / r.seconds / 1e6,
+                    static_cast<double>(r.objects_gathered) / r.seconds,
+                    static_cast<long long>(checker.events_checked()),
+                    static_cast<long long>(checker.violation_count()));
+        if (checker.violation_count() != 0) {
+          std::fprintf(stderr, "check: %lld violations at level %s — protocol bug\n",
+                       static_cast<long long>(checker.violation_count()),
+                       malt::ToString(level).c_str());
+          return 1;
+        }
+      }
     }
   }
   return 0;

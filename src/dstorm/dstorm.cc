@@ -37,11 +37,11 @@ void StoreU32(std::byte* p, uint32_t v) { std::memcpy(p, &v, sizeof(v)); }
 constexpr int kMaxQueueDepth = 16;
 
 enum class SlotState : uint8_t {
-  kValid,        // consistent: stamps equal and nonzero
+  kValid,        // consistent: stamps equal and nonzero (ReadHeader: a candidate)
   kEmpty,        // never written, or header mid-write
   kStale,        // header stamp <= the reader's last consumed: nothing new
   kTornRead,     // Transport::Read saw an overwrite in flight (shmem only)
-  kTornStamps,   // front and back stamps differ: a write in flight
+  kTornStamps,   // stamps differ, or the front moved past the header's: a write landed
 };
 
 struct SlotHeader {
@@ -51,14 +51,12 @@ struct SlotHeader {
   uint32_t bytes = 0;
 };
 
-// The slot-validation scan every receive-side reader shares. The 16-byte
-// header comes first; a slot whose front stamp is at most `last_consumed` is
-// stale and is decided from the header alone. Otherwise the payload plus back
-// stamp is read into `snap` (Gather's torn-read-safe snapshot) or, with `snap`
-// null, only the back stamp (the FreshAvailable / PeerIteration polls).
-// PeerIteration passes 0, so it never sees kStale.
-SlotState ReadSlot(const Transport& transport, MrHandle mr, size_t base_off, size_t obj_bytes,
-                   uint64_t last_consumed, std::byte* snap, SlotHeader* out) {
+// The header half of every receive-side slot read. A slot whose front stamp
+// is at most `last_consumed` is stale, decided from the 16-byte header alone.
+// kValid here means "a candidate": ReadTail decides. PeerIteration passes 0,
+// so it never sees kStale.
+SlotState ReadHeader(const Transport& transport, MrHandle mr, size_t base_off, size_t obj_bytes,
+                     uint64_t last_consumed, SlotHeader* out) {
   std::byte header[kPayloadOff];
   if (!transport.Read(mr, base_off, header)) {
     return SlotState::kTornRead;
@@ -73,16 +71,42 @@ SlotState ReadSlot(const Transport& transport, MrHandle mr, size_t base_off, siz
     out->seq_back = out->seq_front;  // the trailer is never read
     return SlotState::kStale;
   }
+  return SlotState::kValid;
+}
+
+// The tail half, for a candidate `h` from ReadHeader. With `snap` null it
+// reads only the back stamp behind h's payload (the FreshAvailable /
+// PeerIteration polls). Otherwise (Gather) it copies header + payload + back
+// stamp into `snap` in one Transport::Read, atomic against a write since a
+// slot is one guard stripe, and the slot is valid only if the snapshot's
+// front stamp is still h's and equals its back stamp: after a shorter
+// object overwrites the slot, the longer one's back stamp survives past the
+// new trailer. On return `h` holds the stamps seen.
+SlotState ReadTail(const Transport& transport, MrHandle mr, size_t base_off, std::byte* snap,
+                   SlotHeader* h) {
+  const size_t back_off = kPayloadOff + h->bytes;
   std::byte trailer[sizeof(uint64_t)];
-  const bool read = snap != nullptr
-                        ? transport.Read(mr, base_off + kPayloadOff,
-                                         std::span<std::byte>(snap, out->bytes + sizeof(uint64_t)))
-                        : transport.Read(mr, base_off + kPayloadOff + out->bytes, trailer);
+  const bool read =
+      snap != nullptr
+          ? transport.Read(mr, base_off, std::span<std::byte>(snap, back_off + sizeof(uint64_t)))
+          : transport.Read(mr, base_off + back_off, trailer);
   if (!read) {
     return SlotState::kTornRead;
   }
-  out->seq_back = LoadU64(snap != nullptr ? snap + out->bytes : trailer);
-  return out->seq_front == out->seq_back ? SlotState::kValid : SlotState::kTornStamps;
+  const uint64_t candidate = h->seq_front;
+  if (snap != nullptr) {
+    h->seq_front = LoadU64(snap + kSeqFrontOff);
+  }
+  h->seq_back = LoadU64(snap != nullptr ? snap + back_off : trailer);
+  return h->seq_front == candidate && h->seq_front == h->seq_back ? SlotState::kValid
+                                                                  : SlotState::kTornStamps;
+}
+
+// The header + trailer poll behind FreshAvailable and PeerIteration.
+SlotState PollSlot(const Transport& transport, MrHandle mr, size_t base_off, size_t obj_bytes,
+                   uint64_t last_consumed, SlotHeader* h) {
+  const SlotState state = ReadHeader(transport, mr, base_off, obj_bytes, last_consumed, h);
+  return state == SlotState::kValid ? ReadTail(transport, mr, base_off, nullptr, h) : state;
 }
 
 }  // namespace
@@ -240,6 +264,7 @@ SegmentId Dstorm::CreateCollective(const SegmentOptions& options, bool accumulat
       continue;
     }
     s.slot_stride = stride;
+    s.snapshot.resize(stride);
     s.sender_pos_at.assign(static_cast<size_t>(world_), -1);
     for (int dst = 0; dst < world_; ++dst) {
       const auto& in_edges = options.graph.InEdges(dst);
@@ -399,53 +424,47 @@ int Dstorm::Gather(SegmentId seg, const std::function<void(const RecvObject&)>& 
 
   const auto& in_edges = s.options.graph.InEdges(rank_);
   const int depth = s.options.queue_depth;
-  // Snapshot arena: each fresh slot's payload + back stamp is copied out
-  // through Transport::Read (torn-read detecting) before consume() ever sees
-  // it, so under the shmem transport a sender overwriting the slot mid-read
-  // is detected rather than observed. Stale slots are decided from the header
-  // and never copied. The arena lives on the segment because RecvObject spans
-  // must stay valid after Gather returns (deferred folding).
-  const size_t arena_stride = AlignUp8(s.options.obj_bytes + sizeof(uint64_t));
-  s.gather_arena.resize(in_edges.size() * static_cast<size_t>(depth) * arena_stride);
-
+  std::byte* const snap = s.snapshot.data();
   int64_t bytes_copied = 0;
   for (size_t pos = 0; pos < in_edges.size(); ++pos) {
     const int sender = in_edges[pos];
     if (!group_member_[static_cast<size_t>(sender)]) {
       continue;
     }
-    const uint64_t last_consumed = s.last_consumed[static_cast<size_t>(sender)];
-    // Collect fresh consistent slots from this sender, oldest first.
-    struct Fresh {
+    uint64_t& last_consumed = s.last_consumed[static_cast<size_t>(sender)];
+    // Step 1: headers only. Stale and empty slots are decided here.
+    struct Candidate {
       SlotHeader h;
       int slot;
-      const std::byte* snap;
     };
-    Fresh fresh[kMaxQueueDepth];
+    Candidate fresh[kMaxQueueDepth];
     int fresh_count = 0;
     for (int slot = 0; slot < depth; ++slot) {
-      std::byte* snap = s.gather_arena.data() +
-                        (pos * static_cast<size_t>(depth) + static_cast<size_t>(slot)) *
-                            arena_stride;
       SlotHeader h;
-      const SlotState state = ReadSlot(*transport_, s.recv_mr,
-                                       SlotOffset(s, static_cast<int>(pos), slot),
-                                       s.options.obj_bytes, last_consumed, snap, &h);
-      if (state == SlotState::kEmpty) {
-        continue;
+      const SlotState state = ReadHeader(*transport_, s.recv_mr,
+                                         SlotOffset(s, static_cast<int>(pos), slot),
+                                         s.options.obj_bytes, last_consumed, &h);
+      if (state == SlotState::kStale && checking) {
+        checker.OnSlotRead(rank_, s.recv_mr.rkey, static_cast<int>(pos), slot, h.seq_front,
+                           h.seq_back, h.iter, {}, ProtocolChecker::ReadAction::kSkippedStale,
+                           check_now);
+      } else if (state == SlotState::kTornRead) {
+        c_torn_skipped_->Add(1);
+      } else if (state == SlotState::kValid) {
+        fresh[fresh_count++] = Candidate{h, slot};
       }
-      if (state == SlotState::kStale) {
-        if (checking) {
-          checker.OnSlotRead(rank_, s.recv_mr.rkey, static_cast<int>(pos), slot, h.seq_front,
-                             h.seq_back, h.iter, {}, ProtocolChecker::ReadAction::kSkippedStale,
-                             check_now);
-        }
-        continue;  // already folded
-      }
-      if (h.seq_front != 0) {
-        // Past the header decision: the payload read was issued.
-        bytes_copied += static_cast<int64_t>(h.bytes + sizeof(uint64_t));
-      }
+    }
+    std::sort(fresh, fresh + fresh_count, [](const Candidate& a, const Candidate& b) {
+      return a.h.seq_front < b.h.seq_front;
+    });
+    // Step 2, oldest first: one snapshot read per candidate, consumed before
+    // the next read reuses the buffer.
+    for (int i = 0; i < fresh_count; ++i) {
+      SlotHeader h = fresh[i].h;
+      const int slot = fresh[i].slot;
+      const SlotState state = ReadTail(*transport_, s.recv_mr,
+                                       SlotOffset(s, static_cast<int>(pos), slot), snap, &h);
+      bytes_copied += static_cast<int64_t>(kPayloadOff + h.bytes + sizeof(uint64_t));
       if (state != SlotState::kValid) {
         c_torn_skipped_->Add(1);
         if (checking && state == SlotState::kTornStamps) {
@@ -455,19 +474,13 @@ int Dstorm::Gather(SegmentId seg, const std::function<void(const RecvObject&)>& 
         }
         continue;  // torn (write in flight) — skip, the paper's atomic gather
       }
-      fresh[fresh_count++] = Fresh{h, slot, snap};
-    }
-    std::sort(fresh, fresh + fresh_count,
-              [](const Fresh& a, const Fresh& b) { return a.h.seq_front < b.h.seq_front; });
-    for (int i = 0; i < fresh_count; ++i) {
-      const uint64_t seq = fresh[i].h.seq_front;
+      const uint64_t seq = h.seq_front;
       RecvObject obj;
       obj.sender = sender;
-      obj.iter = fresh[i].h.iter;
-      obj.bytes = std::span<const std::byte>(fresh[i].snap, fresh[i].h.bytes);
+      obj.iter = h.iter;
+      obj.bytes = std::span<const std::byte>(snap + kPayloadOff, h.bytes);
       if (checking) {
-        // Stamps were validated equal in the snapshot above.
-        checker.OnSlotRead(rank_, s.recv_mr.rkey, static_cast<int>(pos), fresh[i].slot, seq, seq,
+        checker.OnSlotRead(rank_, s.recv_mr.rkey, static_cast<int>(pos), slot, seq, seq,
                            obj.iter, obj.bytes, ProtocolChecker::ReadAction::kConsumed, check_now);
       }
       if (flow_events_) {
@@ -479,13 +492,11 @@ int Dstorm::Gather(SegmentId seg, const std::function<void(const RecvObject&)>& 
                                      static_cast<int64_t>(obj.iter));
       }
       consume(obj);
-      const uint64_t previous = s.last_consumed[static_cast<size_t>(sender)];
-      if (seq > previous + 1 && previous != 0) {
-        c_overwrites_->Add(static_cast<int64_t>(seq - previous - 1));
-      } else if (previous == 0 && seq > 1 && i == 0) {
-        c_overwrites_->Add(static_cast<int64_t>(seq - 1));
+      // Stamps skipped since the last consume were lost to overwrite-on-full.
+      if (seq > last_consumed + 1) {
+        c_overwrites_->Add(static_cast<int64_t>(seq - last_consumed - 1));
       }
-      s.last_consumed[static_cast<size_t>(sender)] = seq;
+      last_consumed = seq;
       ++consumed;
     }
   }
@@ -507,8 +518,8 @@ int64_t Dstorm::PeerIteration(SegmentId seg, int sender) const {
   for (int slot = 0; slot < s.options.queue_depth; ++slot) {
     // A torn slot is skipped: its stamp will be visible next poll.
     SlotHeader h;
-    if (ReadSlot(*transport_, s.recv_mr, SlotOffset(s, pos, slot), s.options.obj_bytes,
-                 /*last_consumed=*/0, nullptr, &h) == SlotState::kValid) {
+    if (PollSlot(*transport_, s.recv_mr, SlotOffset(s, pos, slot), s.options.obj_bytes,
+                 /*last_consumed=*/0, &h) == SlotState::kValid) {
       best = std::max(best, static_cast<int64_t>(h.iter));
     }
   }
@@ -525,8 +536,8 @@ bool Dstorm::FreshAvailable(SegmentId seg) const {
     }
     for (int slot = 0; slot < s.options.queue_depth; ++slot) {
       SlotHeader h;
-      if (ReadSlot(*transport_, s.recv_mr, SlotOffset(s, static_cast<int>(pos), slot),
-                   s.options.obj_bytes, s.last_consumed[static_cast<size_t>(sender)], nullptr,
+      if (PollSlot(*transport_, s.recv_mr, SlotOffset(s, static_cast<int>(pos), slot),
+                   s.options.obj_bytes, s.last_consumed[static_cast<size_t>(sender)],
                    &h) == SlotState::kValid) {
         return true;
       }

@@ -14,9 +14,16 @@
 //
 // Overwrite-on-full: a sender that laps the reader simply overwrites its
 // oldest slot; Gather folds only not-yet-consumed consistent slots, newest
-// last, per sender. Gather decides staleness from the 16-byte header alone
-// (front stamp <= the sender's last consumed stamp) and copies the payload
-// and back stamp only of fresh slots.
+// last, per sender. Gather reads in two steps, per sender:
+//   1. the 16-byte header of every slot: empty and stale slots (front stamp
+//      <= the sender's last consumed stamp) are decided here and never
+//      copied;
+//   2. oldest fresh stamp first, each candidate's header + payload + back
+//      stamp in one Transport::Read into the segment's one snapshot buffer.
+//      A slot is one guard stripe, so the read is atomic against a write;
+//      the snapshot is consumed only if its front stamp is still the
+//      candidate's and equals its back stamp, and the consume callback runs
+//      before the next slot is read.
 //
 // Data-plane calls take no locks: each endpoint indexes its own segments
 // through an owner-thread table filled by its own CreateSegment calls, and
@@ -61,10 +68,9 @@ struct SegmentOptions {
 struct RecvObject {
   int sender = -1;
   uint32_t iter = 0;  // sender's iteration stamp
-  // Points into the segment's snapshot arena, which holds copies of fresh
-  // slots only (stale ones are skipped from the header, never copied): valid
-  // until the next Gather on the same segment (callers may defer folding past
-  // the callback).
+  // Points into the segment's snapshot buffer, which the next slot's read
+  // overwrites: valid only inside the consume callback. Fold (or copy) it
+  // there.
   std::span<const std::byte> bytes;
 };
 
@@ -118,8 +124,9 @@ class alignas(64) Dstorm {
                    uint32_t iter);
 
   // Applies `consume` to every fresh consistent object in this node's
-  // receive queues (local operation; no network). Objects from a given
-  // sender are presented oldest-first. Returns the number consumed.
+  // receive queues (local operation; no network), one object at a time as
+  // it is read. Objects from a given sender are presented oldest-first.
+  // Returns the number consumed.
   // Updates lost to overwrite-on-full show up as gaps in the per-sender
   // sequence numbers consumed and are counted in dstorm.overwrites_on_full.
   // The paper accepts this loss (stochastic training tolerates dropped
@@ -212,12 +219,10 @@ class alignas(64) Dstorm {
     std::vector<uint64_t> next_send_seq;    // per receiver: my next stamp
     std::vector<int> next_send_slot;        // per receiver: my next slot index
     std::vector<uint64_t> last_consumed;    // per sender: newest consumed stamp
-    // Gather's torn-read-safe slot snapshots, one (payload + back stamp) cell
-    // per (in-edge, slot). Only the cells of slots whose header shows a fresh
-    // stamp are written; dstorm.gather_bytes_copied counts those copies.
-    // RecvObject spans point here, so the storage must outlive the callback
-    // (consumers defer folding); see RecvObject::bytes.
-    std::vector<std::byte> gather_arena;
+    // Gather's one slot-stride snapshot buffer, reused for every fresh slot;
+    // RecvObject::bytes points into it. dstorm.gather_bytes_copied counts
+    // the bytes read into it.
+    std::vector<std::byte> snapshot;
   };
 
   Dstorm(DstormDomain* domain, Transport* transport, int rank, int world,

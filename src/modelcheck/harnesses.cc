@@ -282,16 +282,22 @@ class RankKillHarness : public Harness {
 // --- dstorm slot protocol with the ledger as oracle --------------------------
 //
 // The full write path: rank 0 posts two slot images (header | payload |
-// trailer, built by check::EncodeSlotImage) through ShmemTransport::PostWrite
-// into a slot-striped region on rank 1, with a concurrent-mode
-// ProtocolChecker bound to the transport so every apply is ledgered; rank 1
-// polls the slot the way dstorm's Gather reads it: a header Read first, the
-// stale decision from the header alone (reported as a skip with
-// seq_back = seq_front), then a payload + trailer Read decoded with
-// check::ParseSlotImage, reporting every consumed (or torn) snapshot. The
-// oracle is the checker itself: any torn-read escape, phantom seq, stale
-// misjudgement or duplicate consume increments violation_count(). Too many
-// sync points for exhaustive DFS — this one is PCT-only.
+// trailer, built by check::EncodeSlotImage, only the used bytes on the wire
+// as dstorm sends them) through ShmemTransport::PostWrite into a
+// slot-striped region on rank 1, the second object shorter than the first,
+// with a concurrent-mode ProtocolChecker bound to the transport so every
+// apply is ledgered. Rank 1 polls the slot the way dstorm's Gather reads it:
+// a header Read first, the stale decision from the header alone (reported
+// as a skip with seq_back = seq_front), then the whole slot — header,
+// payload and trailer — in one Read decoded with check::ParseSlotImage,
+// consumed only if its front stamp is still the header's and matches its
+// back stamp; every consumed (or torn) snapshot is reported. The shorter
+// second write is what a payload-plus-trailer-only second read gets wrong:
+// the first object's back stamp survives past the new trailer and vouches
+// for torn bytes. The oracle is the checker itself: any torn-read escape,
+// phantom seq, stale misjudgement or duplicate consume increments
+// violation_count(). Too many sync points for exhaustive DFS — this one is
+// PCT-only.
 //
 // NOTE: must never call MarkDead here — it stores through the shim while
 // holding a real lock, which would park the scheduler inside a critical
@@ -312,18 +318,20 @@ class DstormSlotHarness : public Harness {
     return {
         [this] {
           for (uint32_t iter = 1; iter <= kIters; ++iter) {
+            const size_t bytes = iter == 1 ? kObjBytes : kShortBytes;
+            const size_t image = check::kPayloadOff + bytes + sizeof(uint64_t);
             std::byte wire[kStride];
             std::byte payload[kObjBytes];
-            for (size_t i = 0; i < kObjBytes; ++i) {
+            for (size_t i = 0; i < bytes; ++i) {
               payload[i] = static_cast<std::byte>(iter);
             }
             // dstorm's stamp discipline: seq advances by one per post and
             // (seq - 1) % depth names the slot — with depth 1, seq == iter.
-            check::EncodeSlotImage(std::span<std::byte>(wire, kStride),
+            check::EncodeSlotImage(std::span<std::byte>(wire, image),
                                    /*seq=*/iter, iter,
-                                   std::span<const std::byte>(payload, kObjBytes));
+                                   std::span<const std::byte>(payload, bytes));
             const auto r = transport_->PostWrite(/*src=*/0, /*now=*/0, mr_, /*dst_offset=*/0,
-                                                 std::span<const std::byte>(wire, kStride),
+                                                 std::span<const std::byte>(wire, image),
                                                  WireTrace{});
             if (!r.ok()) {
               Scheduler::Fail("PostWrite failed: " + r.status().ToString());
@@ -357,17 +365,15 @@ class DstormSlotHarness : public Harness {
               continue;
             }
             const size_t image = check::kPayloadOff + bytes + sizeof(uint64_t);
-            if (!transport_->Read(mr_, check::kPayloadOff,
-                                  std::span<std::byte>(snap + check::kPayloadOff,
-                                                       image - check::kPayloadOff))) {
-              MALT_MC_SPIN_YIELD();  // overwritten between the two reads
+            if (!transport_->Read(mr_, 0, std::span<std::byte>(snap, image))) {
+              MALT_MC_SPIN_YIELD();  // write in flight during the snapshot
               continue;
             }
-            // The header and the tail come from two reads: a write landing
-            // in between shows up as mismatched stamps.
+            // One read is atomic against a write; a write landing since the
+            // header read shows up as a new front stamp or mismatched stamps.
             check::SlotImage img;
             if (!check::ParseSlotImage(std::span<const std::byte>(snap, image), &img) ||
-                img.torn()) {
+                img.seq_front != seq_front || img.torn()) {
               checker_.OnSlotRead(/*reader=*/1, mr_.rkey, /*queue_pos=*/0, /*slot=*/0,
                                   img.seq_front, img.seq_back, img.iter, {},
                                   ProtocolChecker::ReadAction::kSkippedTorn, /*now=*/0);
@@ -393,6 +399,7 @@ class DstormSlotHarness : public Harness {
 
  private:
   static constexpr size_t kObjBytes = 16;
+  static constexpr size_t kShortBytes = 4;  // every object after the first
   static constexpr size_t kStride = check::kPayloadOff + kObjBytes + sizeof(uint64_t);
   static constexpr uint32_t kIters = 2;
 

@@ -119,6 +119,13 @@ Status MaltVector::ScatterIndices(std::span<const uint32_t> indices) {
                                   std::to_string(indices.size()) + " indices exceed max_nnz=" +
                                   std::to_string(options_.max_nnz));
   }
+  for (uint32_t index : indices) {
+    if (index >= options_.dim) {
+      return InvalidArgumentError("vector '" + options_.name + "': index " +
+                                  std::to_string(index) + " out of range for dim " +
+                                  std::to_string(options_.dim));
+    }
+  }
   const uint32_t nnz = static_cast<uint32_t>(indices.size());
   std::memcpy(wire_.data(), &nnz, 4);
   auto* idx_out = reinterpret_cast<uint32_t*>(wire_.data() + 4);
@@ -135,19 +142,18 @@ Status MaltVector::ScatterIndices(std::span<const uint32_t> indices) {
 
 Status MaltVector::ScatterTo(std::span<const int> dsts) { return EncodeAndScatter(&dsts); }
 
-std::vector<MaltVector::Decoded> MaltVector::Collect(int64_t min_iter) {
-  std::vector<Decoded> updates;
+GatherResult MaltVector::GatherEach(int64_t min_iter, const UpdateFn& fn) {
+  GatherResult result;
+  int64_t dropped = 0;
   dstorm_.Gather(segment_, [&](const RecvObject& obj) {
-    Decoded d;
-    d.sender = obj.sender;
-    d.iter = obj.iter;
+    IncomingUpdate u{obj.sender, obj.iter, {}, {}};
     if (options_.layout == Layout::kDense) {
       if (obj.bytes.size() != options_.dim * sizeof(float)) {
         MALT_LOG_S(kWarning) << "vector '" << options_.name << "': dropping malformed update ("
                              << obj.bytes.size() << " bytes)";
         return;
       }
-      d.values = std::span<const float>(reinterpret_cast<const float*>(obj.bytes.data()),
+      u.values = std::span<const float>(reinterpret_cast<const float*>(obj.bytes.data()),
                                         options_.dim);
     } else {
       if (obj.bytes.size() < 4) {
@@ -159,90 +165,78 @@ std::vector<MaltVector::Decoded> MaltVector::Collect(int64_t min_iter) {
         MALT_LOG_S(kWarning) << "vector '" << options_.name << "': truncated sparse update";
         return;
       }
-      d.indices = std::span<const uint32_t>(
+      u.indices = std::span<const uint32_t>(
           reinterpret_cast<const uint32_t*>(obj.bytes.data() + 4), nnz);
-      d.values = std::span<const float>(
+      u.values = std::span<const float>(
           reinterpret_cast<const float*>(obj.bytes.data() + 4 + nnz * 4), nnz);
     }
-    updates.push_back(d);
-  });
-  c_gathers_->Add(1);
-  // Staleness at consume: how far behind the reader's stamp each arriving
-  // update is, observed before the ASP filter so dropped stragglers count too.
-  for (const Decoded& d : updates) {
-    HistogramMetric* h = staleness_by_sender_[static_cast<size_t>(d.sender)];
+    // Staleness at consume: how far behind the reader's stamp each arriving
+    // update is, observed before the ASP filter so dropped stragglers count too.
+    HistogramMetric* h = staleness_by_sender_[static_cast<size_t>(u.sender)];
     if (h != nullptr) {
       h->Observe(static_cast<double>(
-          std::max<int64_t>(0, static_cast<int64_t>(iteration_) - static_cast<int64_t>(d.iter))));
+          std::max<int64_t>(0, static_cast<int64_t>(iteration_) - static_cast<int64_t>(u.iter))));
     }
-  }
-  if (min_iter >= 0) {
-    const size_t before = updates.size();
-    std::erase_if(updates, [min_iter](const Decoded& d) {
-      return static_cast<int64_t>(d.iter) < min_iter;
-    });
-    c_stale_dropped_->Add(static_cast<int64_t>(before - updates.size()));
-  }
-  c_updates_folded_->Add(static_cast<int64_t>(updates.size()));
-  return updates;
-}
-
-GatherResult MaltVector::Tally(const std::vector<Decoded>& updates) {
-  GatherResult result;
-  result.received = static_cast<int>(updates.size());
-  for (const Decoded& d : updates) {
-    result.values_folded += static_cast<int64_t>(d.values.size());
-    const int64_t iter = static_cast<int64_t>(d.iter);
+    const int64_t iter = static_cast<int64_t>(u.iter);
+    if (min_iter >= 0 && iter < min_iter) {
+      ++dropped;
+      return;
+    }
+    ++result.received;
+    result.values_folded += static_cast<int64_t>(u.values.size());
     result.min_iter = result.min_iter < 0 ? iter : std::min(result.min_iter, iter);
     result.max_iter = std::max(result.max_iter, iter);
-  }
+    fn(u);
+  });
+  c_gathers_->Add(1);
+  c_stale_dropped_->Add(dropped);
+  c_updates_folded_->Add(result.received);
   c_values_folded_->Add(result.values_folded);
   return result;
 }
 
-GatherResult MaltVector::FoldAll(const std::vector<Decoded>& updates, const FoldFn& fold) {
-  for (const Decoded& d : updates) {
-    fold(local_, IncomingUpdate{d.sender, d.iter, d.indices, d.values});
-  }
-  return Tally(updates);
-}
-
 GatherResult MaltVector::GatherAverage(int64_t min_iter) {
-  const std::vector<Decoded> updates = Collect(min_iter);
-  const GatherResult result = Tally(updates);
-  if (updates.empty()) {
-    return result;
-  }
-
   // local = (local + sum incoming) / (1 + k). For sparse updates only the
   // touched coordinates participate (per-coordinate k = number of updates
   // touching it); untouched coordinates keep the local value — standard
-  // sparse parameter mixing.
+  // sparse parameter mixing. The sums are built inside the gather and
+  // sized on the first update, so an empty gather allocates nothing.
   if (options_.layout == Layout::kDense) {
-    const float scale = 1.0f / (1.0f + static_cast<float>(updates.size()));
-    std::vector<double> acc(local_.begin(), local_.end());
-    for (const Decoded& d : updates) {
-      for (size_t i = 0; i < d.values.size(); ++i) {
-        acc[i] += d.values[i];
+    std::vector<double> acc;
+    const GatherResult result = GatherEach(min_iter, [&](const IncomingUpdate& u) {
+      if (acc.empty()) {
+        acc.assign(local_.begin(), local_.end());
       }
-    }
-    for (size_t i = 0; i < local_.size(); ++i) {
-      local_[i] = static_cast<float>(acc[i] * scale);
+      for (size_t i = 0; i < u.values.size(); ++i) {
+        acc[i] += u.values[i];
+      }
+    });
+    if (result.received > 0) {
+      const float scale = 1.0f / (1.0f + static_cast<float>(result.received));
+      for (size_t i = 0; i < local_.size(); ++i) {
+        local_[i] = static_cast<float>(acc[i] * scale);
+      }
     }
     return result;
   }
 
-  std::vector<float> sum(options_.dim, 0.0f);
-  std::vector<int> count(options_.dim, 0);
-  for (const Decoded& d : updates) {
-    for (size_t k = 0; k < d.indices.size(); ++k) {
-      sum[d.indices[k]] += d.values[k];
-      count[d.indices[k]] += 1;
+  std::vector<float> sum;
+  std::vector<int> count;
+  const GatherResult result = GatherEach(min_iter, [&](const IncomingUpdate& u) {
+    if (sum.empty()) {
+      sum.assign(options_.dim, 0.0f);
+      count.assign(options_.dim, 0);
     }
-  }
-  for (uint32_t i = 0; i < options_.dim; ++i) {
-    if (count[i] > 0) {
-      local_[i] = (local_[i] + sum[i]) / (1.0f + static_cast<float>(count[i]));
+    for (size_t k = 0; k < u.indices.size(); ++k) {
+      sum[u.indices[k]] += u.values[k];
+      count[u.indices[k]] += 1;
+    }
+  });
+  if (result.received > 0) {
+    for (uint32_t i = 0; i < options_.dim; ++i) {
+      if (count[i] > 0) {
+        local_[i] = (local_[i] + sum[i]) / (1.0f + static_cast<float>(count[i]));
+      }
     }
   }
   return result;
@@ -281,7 +275,7 @@ GatherResult MaltVector::GatherReplace(int64_t min_iter) {
 }
 
 GatherResult MaltVector::GatherCustom(const FoldFn& fold, int64_t min_iter) {
-  return FoldAll(Collect(min_iter), fold);
+  return GatherEach(min_iter, [&](const IncomingUpdate& u) { fold(local_, u); });
 }
 
 int64_t MaltVector::MinPeerIteration() const {

@@ -39,9 +39,10 @@ struct GatherResult {
   int64_t max_iter = -1;
 };
 
-// Custom fold callback: `incoming` is the decoded update from `sender`
+// Custom fold callback: `update.values` is the decoded update from `sender`
 // (dense view for dense vectors; for sparse vectors `indices` is non-empty
-// and `incoming` holds the matching values).
+// and `values` holds the matching values). The spans are valid only during
+// the call.
 struct IncomingUpdate {
   int sender = -1;
   uint32_t iter = 0;
@@ -97,7 +98,8 @@ class MaltVector {
   [[nodiscard]] Status ScatterTo(std::span<const int> dsts);
   // Sparse vectors only: pushes just the named coordinates (e.g. the factor
   // rows touched during the last batch — the distributed-Hogwild pattern).
-  // `indices` need not be sorted; duplicates are sent as-is.
+  // `indices` need not be sorted; duplicates are sent as-is. An index >= dim
+  // is rejected (InvalidArgument) before anything is encoded.
   [[nodiscard]] Status ScatterIndices(std::span<const uint32_t> indices);
 
   // All gathers accept `min_iter`: updates with an older iteration stamp are
@@ -132,21 +134,13 @@ class MaltVector {
   SegmentId segment() const { return segment_; }
 
  private:
-  struct Decoded {
-    int sender;
-    uint32_t iter;
-    std::span<const uint32_t> indices;
-    std::span<const float> values;
-  };
+  using UpdateFn = std::function<void(const IncomingUpdate& update)>;
 
-  // Collects fresh decoded updates. Spans point into the receive region,
-  // which is stable until this process yields to the scheduler — the fold
-  // runs synchronously, so no copy is needed.
-  std::vector<Decoded> Collect(int64_t min_iter);
-  // The per-gather tally every fold shares (received, values folded, stamp
-  // range), charged to vol.values_folded.
-  GatherResult Tally(const std::vector<Decoded>& updates);
-  GatherResult FoldAll(const std::vector<Decoded>& updates, const FoldFn& fold);
+  // The one gather path every fold shares: inside dstorm's consume callback
+  // it decodes each fresh update, observes its staleness, drops it if older
+  // than `min_iter`, tallies it (charged to vol.*) and hands it to `fn`, in
+  // dstorm's order (sender-major, oldest first).
+  GatherResult GatherEach(int64_t min_iter, const UpdateFn& fn);
   [[nodiscard]] Status EncodeAndScatter(std::span<const int>* dsts);
   // Records the outgoing stamp with the protocol checker (monotonicity).
   void NoteScatterStamp();

@@ -196,6 +196,78 @@ TEST(CheckShmem, HeaderOnlyStaleSkipOfFreshSeqCaughtExactlyOnce) {
   EXPECT_EQ(cluster.checker.violation_count(), 1) << cluster.checker.ReportJson();
 }
 
+// Gather reads and consumes one slot at a time, so a sender can overwrite a
+// slot Gather has already listed but not yet read. Planted: inside the
+// consume callback for seq 1, seq 3 lands in slot 0 and a *shorter* seq 4 in
+// seq 2's slot (posted as sender 0, with its stamp discipline). Seq 2's back
+// stamp survives behind seq 4's trailer, so a reader that trusted the stale
+// header plus that surviving stamp would hand torn bytes to the app. The
+// one-read snapshot sees the new front stamp and skips the slot as torn; the
+// next gather consumes seq 3 and 4 intact, and the checker stays silent.
+TEST(CheckShmem, ShorterOverwriteInsideConsumeIsSkippedNotEscaped) {
+  const int n = 2;
+  constexpr size_t kObjBytes = 64;
+  constexpr size_t kStride = check::kPayloadOff + kObjBytes + sizeof(uint64_t);  // 8-aligned
+  CheckedCluster cluster(n);
+  // Rank 1 posts as rank 0 below, so the two threads hand rank 0's send
+  // state over explicitly: rank 0 stays off the transport from sender_idle
+  // until reader_done.
+  std::atomic<bool> sender_idle{false};
+  std::atomic<bool> reader_done{false};
+  std::vector<std::pair<uint32_t, std::vector<std::byte>>> first;
+  std::vector<std::pair<uint32_t, std::vector<std::byte>>> second;
+  int64_t torn_skipped = -1;
+
+  cluster.Run([&](int rank, Dstorm& d, ShmemRankCtx& ctx) {
+    SegmentOptions opts;
+    opts.obj_bytes = kObjBytes;
+    opts.graph = AllToAllGraph(n);
+    opts.queue_depth = 2;
+    const SegmentId seg = d.CreateSegment(opts);
+    if (rank == 0) {
+      for (uint32_t iter = 1; iter <= 2; ++iter) {
+        ASSERT_TRUE(d.Scatter(seg, Payload(kObjBytes, static_cast<uint8_t>(iter)), iter).ok());
+      }
+      ASSERT_TRUE(d.Flush().ok());
+      ASSERT_TRUE(d.Barrier().ok());
+      sender_idle.store(true, std::memory_order_release);
+      ctx.Wait([&] { return reader_done.load(std::memory_order_acquire); });
+      return;
+    }
+    ASSERT_TRUE(d.Barrier().ok());
+    ctx.Wait([&] { return sender_idle.load(std::memory_order_acquire); });
+    // Rank 1's only queue belongs to sender 0: slot 0 at offset 0, slot 1 at
+    // one stride; seq s lives in slot (s - 1) % 2.
+    const MrHandle mine{1, static_cast<uint32_t>(seg) + 2};
+    d.Gather(seg, [&](const RecvObject& obj) {
+      first.emplace_back(obj.iter, std::vector<std::byte>(obj.bytes.begin(), obj.bytes.end()));
+      if (obj.iter == 1) {
+        const auto seq3 = SlotImage(3, 3, Payload(kObjBytes, 3), 3);
+        const auto seq4 = SlotImage(4, 4, Payload(8, 4), 4);
+        ASSERT_TRUE(cluster.transport.PostWrite(0, ctx.Now(), mine, 0, seq3).ok());
+        ASSERT_TRUE(cluster.transport.PostWrite(0, ctx.Now(), mine, kStride, seq4).ok());
+      }
+    });
+    d.Gather(seg, [&](const RecvObject& obj) {
+      second.emplace_back(obj.iter, std::vector<std::byte>(obj.bytes.begin(), obj.bytes.end()));
+    });
+    torn_skipped =
+        cluster.transport.telemetry().rank(1).metrics.CounterValue("dstorm.torn_slots_skipped");
+    reader_done.store(true, std::memory_order_release);
+  });
+
+  ASSERT_EQ(first.size(), 1u);  // seq 2 was overwritten before its read
+  EXPECT_EQ(first[0].first, 1u);
+  EXPECT_EQ(first[0].second, Payload(kObjBytes, 1));
+  ASSERT_EQ(second.size(), 2u);
+  EXPECT_EQ(second[0].first, 3u);
+  EXPECT_EQ(second[0].second, Payload(kObjBytes, 3));
+  EXPECT_EQ(second[1].first, 4u);
+  EXPECT_EQ(second[1].second, Payload(8, 4));
+  EXPECT_EQ(torn_skipped, 1);
+  EXPECT_EQ(cluster.checker.violation_count(), 0) << cluster.checker.ReportJson();
+}
+
 // Forging a delayed rank's barrier-arrival counter lets the other ranks sail
 // through the barrier without it: every rank that exits must be flagged for
 // breaking barrier separation against the rank that never entered.

@@ -196,9 +196,9 @@ TEST(Dstorm, TornWriteSkippedThenConsumed) {
 
 TEST(Dstorm, GatherCopiesOnlyFreshSlots) {
   // One 64-byte object into a depth-4 queue, gathered twice. The first
-  // gather copies its payload + back stamp (72 bytes) and folds it; the
-  // second decides from the header that the slot is stale and copies
-  // nothing. The checker sees exactly one stale skip, reported with matching
+  // gather snapshots its header + payload + back stamp in one read
+  // (16 + 64 + 8 = 88 bytes) and folds it; the second decides from the
+  // header that the slot is stale and copies nothing. The checker sees exactly one stale skip, reported with matching
   // stamps (a mismatched pair would be a seqlock_protocol violation).
   ProtocolChecker checker(CheckLevel::kFull, 2);
   SimCluster cluster(2, FastNet(), &checker);
@@ -232,7 +232,7 @@ TEST(Dstorm, GatherCopiesOnlyFreshSlots) {
     fresh_after = d.FreshAvailable(seg);
   });
   EXPECT_EQ(first, 1);
-  EXPECT_EQ(copied_first, 64 + 8);
+  EXPECT_EQ(copied_first, 16 + 64 + 8);
   EXPECT_EQ(second, 0);
   EXPECT_EQ(copied_second, 0);
   EXPECT_FALSE(fresh_after);

@@ -108,6 +108,32 @@ TEST(MaltVector, SparseNnzOverflowRejected) {
   });
 }
 
+TEST(MaltVector, ScatterIndicesRejectsOutOfRangeIndex) {
+  const int n = 2;
+  SimCluster cluster(n);
+  int received = -1;
+  cluster.Run([&](int rank, Dstorm& d, Process&) {
+    MaltVectorOptions o;
+    o.name = "idx";
+    o.dim = 10;
+    o.layout = Layout::kSparse;
+    o.max_nnz = 4;
+    o.graph = AllToAllGraph(n);
+    MaltVector v(d, o);
+    if (rank == 0) {
+      v.data()[1] = 1.0f;
+      const std::vector<uint32_t> indices = {1, 10};  // 10 == dim: one past the end
+      EXPECT_EQ(v.ScatterIndices(indices).code(), StatusCode::kInvalidArgument);
+      ASSERT_TRUE(d.Flush().ok());
+    }
+    ASSERT_TRUE(v.Barrier().ok());
+    if (rank == 1) {
+      received = v.GatherSum().received;
+    }
+  });
+  EXPECT_EQ(received, 0);  // rejected before anything was encoded or sent
+}
+
 TEST(LargestMagnitudeIndices, KeepsAllNonzerosInIndexOrderUnderCapacity) {
   const std::vector<float> g = {0.0f, -3.0f, 0.0f, 1.0f, 2.0f};
   std::vector<uint32_t> out = {99};  // stale contents are cleared
@@ -143,6 +169,76 @@ TEST(MaltVector, GatherReplaceHogwild) {
   });
   EXPECT_FLOAT_EQ(got[0], 11.0f);  // rank 0 received rank 1's entry
   EXPECT_FLOAT_EQ(got[1], 10.0f);
+}
+
+TEST(MaltVector, SparseGatherAverageCountsEachCoordinate) {
+  // Two senders overlap on coordinate 3 only: there k = 2, on 2 and 5 k = 1,
+  // and coordinate 0 is untouched by peers and keeps its local value.
+  const int n = 3;
+  SimCluster cluster(n);
+  std::vector<float> got;
+  GatherResult result;
+  cluster.Run([&](int rank, Dstorm& d, Process&) {
+    MaltVectorOptions o;
+    o.name = "avg";
+    o.dim = 8;
+    o.layout = Layout::kSparse;
+    o.graph = AllToAllGraph(n);
+    MaltVector v(d, o);
+    if (rank == 0) {
+      v.data()[0] = 7.0f;
+      v.data()[3] = 3.0f;
+    } else if (rank == 1) {
+      v.data()[2] = 2.0f;
+      v.data()[3] = 4.0f;
+    } else {
+      v.data()[3] = 8.0f;
+      v.data()[5] = 16.0f;
+    }
+    ASSERT_TRUE(v.Scatter().ok());
+    ASSERT_TRUE(d.Flush().ok());
+    ASSERT_TRUE(v.Barrier().ok());
+    if (rank == 0) {
+      result = v.GatherAverage();
+      got.assign(v.data().begin(), v.data().end());
+    }
+  });
+  EXPECT_EQ(result.received, 2);
+  EXPECT_EQ(result.values_folded, 4);
+  EXPECT_EQ(got, (std::vector<float>{7.0f, 0.0f, 1.0f, 5.0f, 0.0f, 8.0f, 0.0f, 0.0f}));
+}
+
+TEST(MaltVector, OneGatherFoldsEveryQueuedObjectFromOneSender) {
+  // Two scatters from rank 1 sit in a depth-2 queue; one GatherSum folds
+  // both, oldest first.
+  const int n = 2;
+  SimCluster cluster(n);
+  std::vector<float> got;
+  GatherResult result;
+  cluster.Run([&](int rank, Dstorm& d, Process&) {
+    MaltVectorOptions o = DenseOpts("q", 4, n);
+    o.queue_depth = 2;
+    MaltVector v(d, o);
+    if (rank == 1) {
+      for (uint32_t iter = 1; iter <= 2; ++iter) {
+        std::fill(v.data().begin(), v.data().end(), iter == 1 ? 1.0f : 10.0f);
+        v.set_iteration(iter);
+        ASSERT_TRUE(v.Scatter().ok());
+      }
+      ASSERT_TRUE(d.Flush().ok());
+    }
+    ASSERT_TRUE(v.Barrier().ok());
+    if (rank == 0) {
+      v.data()[0] = 100.0f;
+      result = v.GatherSum();
+      got.assign(v.data().begin(), v.data().end());
+    }
+  });
+  EXPECT_EQ(result.received, 2);
+  EXPECT_EQ(result.values_folded, 8);
+  EXPECT_EQ(result.min_iter, 1);
+  EXPECT_EQ(result.max_iter, 2);
+  EXPECT_EQ(got, (std::vector<float>{111.0f, 11.0f, 11.0f, 11.0f}));
 }
 
 TEST(MaltVector, GatherCustomUdf) {

@@ -26,8 +26,9 @@
 #                      Failing schedules land in /tmp/malt_mc_*.trace; replay
 #                      one with malt_mc --harness=<h> --mc_replay=<file>.
 #   5. malt_run --check=full — the SVM example under the happens-before
-#                      validator, on both transports; any violation fails
-#                      the gate.
+#                      validator, on both transports, plus MF under ASP on
+#                      shmem (variable-size sparse objects racing the
+#                      reader, no barrier); any violation fails the gate.
 #   6. trace_report.py smoke — flow-traced runs with the NDJSON sampler on
 #                      both transports, rendered by tools/trace_report.py.
 #   6b. health_report.py smoke — planted-straggler runs (one rank slowed via
@@ -141,7 +142,7 @@ else
   fail "model-check build (MALT_MODELCHECK=ON)"
 fi
 
-# --- 5. protocol check on the SVM example (both transports) ------------------
+# --- 5. protocol check: SVM on both transports, MF ASP on shmem ---------------
 note "malt_run --check=full (SVM, sim)"
 if "$BUILD_DIR/tools/malt_run" --app=svm --epochs=3 --check=full \
      --check_out=/tmp/malt_check_report.json; then
@@ -157,6 +158,14 @@ if "$BUILD_DIR/tools/malt_run" --app=svm --epochs=3 --check=full --transport=shm
 else
   cat /tmp/malt_check_report_shmem.json 2>/dev/null
   fail "malt_run --check=full --transport=shmem reported violations"
+fi
+note "malt_run --check=full (MF, ASP, shmem)"
+if "$BUILD_DIR/tools/malt_run" --app=mf --sync=asp --epochs=3 --check=full --transport=shmem \
+     --check_out=/tmp/malt_check_report_mf_asp.json; then
+  echo "protocol check OK (report: /tmp/malt_check_report_mf_asp.json)"
+else
+  cat /tmp/malt_check_report_mf_asp.json 2>/dev/null
+  fail "malt_run --app=mf --sync=asp --check=full --transport=shmem reported violations"
 fi
 
 # --- 6. trace_report smoke on both transports --------------------------------
