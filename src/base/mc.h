@@ -5,8 +5,8 @@
 // segment writes, the SPSC completion rings, the spinlock and barrier wait
 // loops — route every synchronization operation through the thin wrappers in
 // this header instead of using std::atomic directly (the raw-atomic rule in
-// tools/lint_malt_api.py enforces this for src/base/seqlock.h,
-// src/base/ring_buffer.h, and src/shmem/).
+// tools/lint_malt_api.py enforces this for src/base/seqlock.h and
+// src/shmem/).
 //
 // In normal builds (MALT_MODELCHECK off, the default) everything here is an
 // alias or a forced-inline forwarding call: mc::atomic<T> IS std::atomic<T>,

@@ -7,6 +7,7 @@ namespace malt {
 double Xoshiro256::NextGaussian() {
   // Box-Muller. Draw two uniforms; discard the second output (simplicity over
   // caching — gradient math dominates any generator cost in this codebase).
+  // SkipGaussian (rng.h) consumes the same draws; change both together.
   double u1 = NextDouble();
   while (u1 <= 0.0) {
     u1 = NextDouble();

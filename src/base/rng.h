@@ -47,6 +47,9 @@ class Xoshiro256 {
 
   result_type operator()() { return Next(); }
 
+  // Equal generators produce equal streams.
+  bool operator==(const Xoshiro256& other) const = default;
+
   uint64_t Next() {
     const uint64_t result = Rotl(state_[1] * 5, 7) * 9;
     const uint64_t t = state_[1] << 17;
@@ -84,6 +87,14 @@ class Xoshiro256 {
 
   // Standard normal via Box-Muller (polar form avoided: branchless enough).
   double NextGaussian();
+
+  // Advances the stream exactly as NextGaussian does, without the math, for
+  // a walk that must stay in step with one that materializes the values.
+  void SkipGaussian() {
+    while (NextDouble() <= 0.0) {
+    }
+    (void)Next();
+  }
 
   // Fisher-Yates shuffle of [first, first + n).
   template <typename T>

@@ -75,11 +75,16 @@ void ModelSync::Round() {
     const int64_t min_iter = sync == SyncMode::kASP && asp_skip_stale_ < kNoStaleSkip
                                  ? static_cast<int64_t>(round_) - asp_skip_stale_
                                  : -1;
+    // BSP: this round's objects only. A peer that left the barrier first may
+    // already have sent round + 1, which must wait for the next gather (on a
+    // model round it is a whole model, not a delta).
+    const int64_t max_iter = sync == SyncMode::kBSP ? static_cast<int64_t>(round_) : -1;
     const bool sum_fold = mixing_ == Mixing::kDeltaSum && !model_round;
     int64_t values_folded = 0;
     for (MaltVector* v : model_) {
-      values_folded +=
-          (sum_fold ? v->GatherSum(min_iter) : v->GatherAverage(min_iter)).values_folded;
+      values_folded += (sum_fold ? v->GatherSum(min_iter, max_iter)
+                                 : v->GatherAverage(min_iter, max_iter))
+                           .values_folded;
     }
     // Fold cost: one pass over each incoming entry plus the rescale.
     worker_.ChargeFlops(2.0 * static_cast<double>(values_folded) +

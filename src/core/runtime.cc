@@ -191,6 +191,10 @@ MaltVector Worker::CreateVectorWithGraph(const std::string& name, size_t dim, co
   opts.layout = layout;
   opts.max_nnz = max_nnz;
   opts.queue_depth = options().queue_depth;
+  // A BSP peer runs at most one round ahead: two slots keep this round's
+  // object from being overwritten by the next before the gather takes it.
+  MALT_CHECK(options().sync != SyncMode::kBSP || opts.queue_depth >= 2)
+      << "vector '" << name << "': BSP needs queue_depth >= 2, got " << opts.queue_depth;
   opts.graph = graph;
   return MaltVector(*dstorm_, std::move(opts));
 }

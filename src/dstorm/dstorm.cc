@@ -414,7 +414,8 @@ Status Dstorm::ScatterTo(SegmentId seg, std::span<const int> dsts,
   return first_error;
 }
 
-int Dstorm::Gather(SegmentId seg, const std::function<void(const RecvObject&)>& consume) {
+int Dstorm::Gather(SegmentId seg, const std::function<void(const RecvObject&)>& consume,
+                   int64_t max_iter) {
   Segment& s = GetSegment(seg);
   int consumed = 0;
 
@@ -461,6 +462,9 @@ int Dstorm::Gather(SegmentId seg, const std::function<void(const RecvObject&)>& 
     // the next read reuses the buffer.
     for (int i = 0; i < fresh_count; ++i) {
       SlotHeader h = fresh[i].h;
+      if (max_iter >= 0 && static_cast<int64_t>(h.iter) > max_iter) {
+        break;  // a later round's object: it and everything newer stay queued
+      }
       const int slot = fresh[i].slot;
       const SlotState state = ReadTail(*transport_, s.recv_mr,
                                        SlotOffset(s, static_cast<int>(pos), slot), snap, &h);

@@ -131,7 +131,12 @@ class alignas(64) Dstorm {
   // sequence numbers consumed and are counted in dstorm.overwrites_on_full.
   // The paper accepts this loss (stochastic training tolerates dropped
   // updates); the counter quantifies the freshness/queue-depth trade-off.
-  int Gather(SegmentId seg, const std::function<void(const RecvObject&)>& consume);
+  // With `max_iter` >= 0, an object stamped with a later iteration stays
+  // queued, and so does everything newer from its sender: a BSP round's
+  // gather takes that round's objects and leaves the next round's, which a
+  // faster peer may already have sent, to the next gather.
+  int Gather(SegmentId seg, const std::function<void(const RecvObject&)>& consume,
+             int64_t max_iter = -1);
 
   // Largest iteration stamp visible from `sender` in this segment (consumed
   // or not); -1 if nothing received yet. Drives bounded-staleness decisions.

@@ -1,63 +1,92 @@
 #include "src/ml/dataset.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <thread>
+#include <utility>
 
 #include "src/base/log.h"
 #include "src/base/rng.h"
 
 namespace malt {
 
+void SparseRows::Append(std::span<const uint32_t> idx, std::span<const float> val, float label) {
+  MALT_CHECK(idx.size() == val.size()) << "row has " << idx.size() << " indices but "
+                                       << val.size() << " values";
+  if (offsets_.empty()) {
+    offsets_.push_back(0);
+  }
+  idx_.insert(idx_.end(), idx.begin(), idx.end());
+  val_.insert(val_.end(), val.begin(), val.end());
+  offsets_.push_back(idx_.size());
+  labels_.push_back(label);
+}
+
 double SparseDataset::AvgNnz() const {
   if (train.empty()) {
     return 0;
   }
-  double total = 0;
-  for (const SparseExample& ex : train) {
-    total += static_cast<double>(ex.nnz());
-  }
-  return total / static_cast<double>(train.size());
+  return static_cast<double>(train.total_nnz()) / static_cast<double>(train.size());
 }
 
 namespace {
 
-SparseExample DrawExample(Xoshiro256& rng, const ClassificationConfig& config,
-                          std::span<const float> truth) {
-  SparseExample ex;
+// One generating thread's reusable buffers.
+struct DrawScratch {
+  explicit DrawScratch(const ClassificationConfig& config)
+      : taken((config.dim + 63) / 64, 0) {
+    chosen.reserve(config.avg_nnz);
+  }
+  std::vector<uint32_t> chosen;  // Zipf candidates before dedup
+  std::vector<uint64_t> taken;   // Floyd's chosen set as a bitmap; clear between rows
+};
+
+// Draws one example from `rng` and returns its nnz. This is the one place
+// the draw order lives. With kMaterialize the row goes to idx/val (room for
+// the returned nnz, known from an earlier skip walk) and its label to
+// *label. Without it (the skip walk) the call consumes exactly the same
+// draws but computes only what the nnz depends on: the Zipf indices.
+template <bool kMaterialize>
+size_t DrawExample(Xoshiro256& rng, const ClassificationConfig& config,
+                   std::span<const float> truth, DrawScratch& scratch, uint32_t* idx, float* val,
+                   float* label) {
   const size_t nnz = std::min(config.avg_nnz, config.dim);
-  ex.idx.reserve(nnz);
-  ex.val.reserve(nnz);
   const float value_scale = 1.0f / std::sqrt(static_cast<float>(nnz));
+  size_t n = nnz;
   if (nnz == config.dim) {
     // Dense profile (PASCAL alpha): every feature active.
-    for (uint32_t i = 0; i < config.dim; ++i) {
-      ex.idx.push_back(i);
-      ex.val.push_back(static_cast<float>(rng.NextGaussian()) * value_scale);
-    }
-  } else if (config.feature_skew <= 1.0) {
-    // Uniform: sample nnz distinct indices (Floyd's algorithm, O(nnz)).
-    std::vector<uint32_t> chosen;
-    chosen.reserve(nnz);
-    for (size_t j = config.dim - nnz; j < config.dim; ++j) {
-      const uint32_t t = static_cast<uint32_t>(rng.NextBounded(j + 1));
-      if (std::find(chosen.begin(), chosen.end(), t) == chosen.end()) {
-        chosen.push_back(t);
-      } else {
-        chosen.push_back(static_cast<uint32_t>(j));
+    if constexpr (kMaterialize) {
+      for (uint32_t i = 0; i < config.dim; ++i) {
+        idx[i] = i;
       }
     }
-    std::sort(chosen.begin(), chosen.end());
-    for (uint32_t i : chosen) {
-      ex.idx.push_back(i);
-      ex.val.push_back(static_cast<float>(rng.NextGaussian()) * value_scale);
+  } else if (config.feature_skew <= 1.0) {
+    // Uniform: sample nnz distinct indices (Floyd's algorithm, O(nnz)), the
+    // chosen set kept as a bitmap.
+    uint64_t* const taken = scratch.taken.data();
+    for (size_t j = config.dim - nnz, k = 0; j < config.dim; ++j, ++k) {
+      const uint32_t t = static_cast<uint32_t>(rng.NextBounded(j + 1));
+      if constexpr (kMaterialize) {
+        const bool seen = (taken[t / 64] >> (t % 64)) & 1;
+        const uint32_t pick = seen ? static_cast<uint32_t>(j) : t;
+        taken[pick / 64] |= uint64_t{1} << (pick % 64);
+        idx[k] = pick;
+      }
+    }
+    if constexpr (kMaterialize) {
+      std::sort(idx, idx + nnz);
+      for (size_t k = 0; k < nnz; ++k) {
+        taken[idx[k] / 64] = 0;
+      }
     }
   } else {
     // Zipf-ish: index = floor(dim * u^skew) concentrates mass on small ids,
     // so batches touch few distinct coordinates (text-corpus behaviour).
     // Draw nnz candidates, then sort+dedup: duplicates shrink the example a
     // little, exactly like repeated words collapsing in a bag-of-words.
-    std::vector<uint32_t> chosen;
-    chosen.reserve(nnz);
+    std::vector<uint32_t>& chosen = scratch.chosen;
+    chosen.clear();
     for (size_t k = 0; k < nnz; ++k) {
       const double u = rng.NextDouble();
       const uint32_t i = static_cast<uint32_t>(
@@ -66,21 +95,31 @@ SparseExample DrawExample(Xoshiro256& rng, const ClassificationConfig& config,
     }
     std::sort(chosen.begin(), chosen.end());
     chosen.erase(std::unique(chosen.begin(), chosen.end()), chosen.end());
-    for (uint32_t i : chosen) {
-      ex.idx.push_back(i);
-      ex.val.push_back(static_cast<float>(rng.NextGaussian()) * value_scale);
+    n = chosen.size();
+    if constexpr (kMaterialize) {
+      std::copy(chosen.begin(), chosen.end(), idx);
     }
   }
-  double activation = 0;
-  for (size_t k = 0; k < ex.idx.size(); ++k) {
-    activation += static_cast<double>(truth[ex.idx[k]]) * ex.val[k];
+  // Values in index order, then the label: the clean activation plus margin
+  // noise, and a flip with probability label_noise.
+  if constexpr (kMaterialize) {
+    double activation = 0;
+    for (size_t k = 0; k < n; ++k) {
+      val[k] = static_cast<float>(rng.NextGaussian()) * value_scale;
+      activation += static_cast<double>(truth[idx[k]]) * val[k];
+    }
+    activation += rng.NextGaussian() * config.margin;
+    *label = activation >= 0 ? 1.0f : -1.0f;
+    if (rng.NextDouble() < config.label_noise) {
+      *label = -*label;
+    }
+  } else {
+    for (size_t k = 0; k <= n; ++k) {
+      rng.SkipGaussian();  // n values and the margin noise
+    }
+    (void)rng.NextDouble();  // the flip
   }
-  activation += rng.NextGaussian() * config.margin;
-  ex.label = activation >= 0 ? 1.0f : -1.0f;
-  if (rng.NextDouble() < config.label_noise) {
-    ex.label = -ex.label;
-  }
-  return ex;
+  return n;
 }
 
 }  // namespace
@@ -99,13 +138,62 @@ SparseDataset MakeClassification(const ClassificationConfig& config) {
   SparseDataset data;
   data.name = config.name;
   data.dim = config.dim;
-  data.train.reserve(config.train_n);
-  for (size_t i = 0; i < config.train_n; ++i) {
-    data.train.push_back(DrawExample(rng, config, truth));
+  // Rows are numbered across train, then test.
+  const size_t rows = config.train_n + config.test_n;
+  const size_t chunks = (rows + kGenerationChunkRows - 1) / kGenerationChunkRows;
+  data.train.offsets_.assign(config.train_n + 1, 0);
+  data.test.offsets_.assign(config.test_n + 1, 0);
+  auto locate = [&](size_t row) {
+    return row < config.train_n ? std::pair{&data.train, row}
+                                : std::pair{&data.test, row - config.train_n};
+  };
+
+  // Skip walk: each chunk's starting state and each row's nnz.
+  std::vector<Xoshiro256> chunk_start;
+  chunk_start.reserve(chunks);
+  {
+    DrawScratch scratch(config);
+    for (size_t row = 0; row < rows; ++row) {
+      if (row % kGenerationChunkRows == 0) {
+        chunk_start.push_back(rng);
+      }
+      const auto [split, r] = locate(row);
+      split->offsets_[r + 1] =
+          split->offsets_[r] +
+          DrawExample<false>(rng, config, truth, scratch, nullptr, nullptr, nullptr);
+    }
   }
-  data.test.reserve(config.test_n);
-  for (size_t i = 0; i < config.test_n; ++i) {
-    data.test.push_back(DrawExample(rng, config, truth));
+  for (SparseRows* split : {&data.train, &data.test}) {
+    split->idx_.resize(split->offsets_.back());
+    split->val_.resize(split->offsets_.back());
+    split->labels_.resize(split->offsets_.size() - 1);
+  }
+
+  // Redraw the chunks in place, each from its recorded state. The arrays are
+  // left unzeroed, so each worker's first touch also faults its pages in.
+  std::atomic<size_t> next_chunk{0};
+  auto work = [&] {
+    DrawScratch scratch(config);
+    for (size_t c = next_chunk.fetch_add(1); c < chunks; c = next_chunk.fetch_add(1)) {
+      Xoshiro256 chunk_rng = chunk_start[c];
+      const size_t last = std::min(rows, (c + 1) * kGenerationChunkRows);
+      for (size_t row = c * kGenerationChunkRows; row < last; ++row) {
+        const auto [split, r] = locate(row);
+        const size_t begin = split->offsets_[r];
+        DrawExample<true>(chunk_rng, config, truth, scratch, split->idx_.data() + begin,
+                          split->val_.data() + begin, split->labels_.data() + r);
+      }
+    }
+  };
+  const size_t threads =
+      std::min<size_t>(std::max(1u, std::thread::hardware_concurrency()), chunks);
+  std::vector<std::thread> helpers;
+  for (size_t t = 1; t < threads; ++t) {
+    helpers.emplace_back(work);
+  }
+  work();
+  for (std::thread& helper : helpers) {
+    helper.join();
   }
   return data;
 }
@@ -240,11 +328,6 @@ RatingsDataset MakeRatings(const RatingsConfig& config) {
   draw(data.train, config.train_n);
   draw(data.test, config.test_n);
   return data;
-}
-
-void ShuffleExamples(SparseDataset& data, uint64_t seed) {
-  Xoshiro256 rng(seed);
-  rng.Shuffle(data.train.data(), data.train.size());
 }
 
 void ShuffleRatings(RatingsDataset& data, uint64_t seed) {

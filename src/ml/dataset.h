@@ -6,34 +6,119 @@
 // convergence actually depends on: dimensionality, sparsity, margin/noise,
 // and (for ratings) the low-rank structure. The *Like() presets record the
 // mapping used by EXPERIMENTS.md.
+//
+// Layout. A split (train or test) is one SparseRows: CSR storage with every
+// row's feature indices in one array, every value in a second, row offsets
+// and labels. A SparseExample is a by-value view of one row. Within a row
+// the indices are sorted ascending and distinct; the generators, the LIBSVM
+// loader and SparseRows::Append all keep that invariant, and the SVM step and
+// the sparse codecs rely on it.
+//
+// Generation. MakeClassification draws every example from one Xoshiro256
+// stream, rows in order, train before test. It first walks that stream once
+// doing only the draws (no values, no labels), recording the generator state
+// at every kGenerationChunkRows-th row and every row's nnz; the nnz give the
+// exact CSR offsets and one allocation per array. Worker threads then redraw
+// the chunks in place, each from its recorded state. The output is a function
+// of the config alone: the same bytes for any thread or core count, and the
+// same bytes as drawing every row sequentially.
 
 #ifndef SRC_ML_DATASET_H_
 #define SRC_ML_DATASET_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <span>
 #include <string>
 #include <vector>
 
 namespace malt {
 
-// One classification example: sparse features, label in {-1, +1}.
+// One classification example: a view of one row of a SparseRows, valid while
+// that SparseRows lives and is not appended to. Label in {-1, +1}.
 struct SparseExample {
-  std::vector<uint32_t> idx;
-  std::vector<float> val;
+  std::span<const uint32_t> idx;  // sorted ascending, distinct
+  std::span<const float> val;
   float label = 0;
 
   size_t nnz() const { return idx.size(); }
 };
 
+// A std::allocator whose value-less construct leaves ints and floats
+// uninitialized, so resize() hands the storage to its writers without a
+// zeroing pass first.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <typename U>
+  void construct(U* p) noexcept {
+    ::new (static_cast<void*>(p)) U;
+  }
+};
+
+struct ClassificationConfig;
+struct SparseDataset;
+
+// One split's examples in CSR form: row r's indices and values are
+// [offsets[r], offsets[r + 1]) of the idx and val arrays.
+class SparseRows {
+ public:
+  // Yields each row's view by value.
+  class Iterator {
+   public:
+    Iterator(const SparseRows* rows, size_t row) : rows_(rows), row_(row) {}
+    SparseExample operator*() const { return (*rows_)[row_]; }
+    Iterator& operator++() {
+      ++row_;
+      return *this;
+    }
+    bool operator==(const Iterator& other) const { return row_ == other.row_; }
+
+   private:
+    const SparseRows* rows_;
+    size_t row_;
+  };
+
+  size_t size() const { return labels_.size(); }
+  bool empty() const { return labels_.empty(); }
+  size_t total_nnz() const { return idx_.size(); }
+
+  SparseExample operator[](size_t row) const {
+    const size_t begin = offsets_[row];
+    const size_t nnz = offsets_[row + 1] - begin;
+    return SparseExample{{idx_.data() + begin, nnz}, {val_.data() + begin, nnz}, labels_[row]};
+  }
+  Iterator begin() const { return Iterator(this, 0); }
+  Iterator end() const { return Iterator(this, size()); }
+
+  // Appends one row. `idx` must be sorted ascending and distinct, and as long
+  // as `val`.
+  void Append(std::span<const uint32_t> idx, std::span<const float> val, float label);
+
+ private:
+  // The generator sizes the arrays once and fills the rows in parallel.
+  friend SparseDataset MakeClassification(const ClassificationConfig& config);
+  template <typename T>
+  using Array = std::vector<T, DefaultInitAllocator<T>>;
+
+  std::vector<size_t> offsets_;  // size() + 1 entries once a row exists
+  Array<uint32_t> idx_;
+  Array<float> val_;
+  Array<float> labels_;
+};
+
 struct SparseDataset {
   std::string name;
   size_t dim = 0;
-  std::vector<SparseExample> train;
-  std::vector<SparseExample> test;
+  SparseRows train;
+  SparseRows test;
 
   double AvgNnz() const;
 };
+
+// Rows per unit of parallel generation work (see the header comment).
+inline constexpr size_t kGenerationChunkRows = 1024;
 
 struct ClassificationConfig {
   std::string name = "synthetic";
@@ -95,7 +180,6 @@ struct RatingsConfig {
 RatingsDataset MakeRatings(const RatingsConfig& config);
 
 // Deterministic shuffling/sharding helpers.
-void ShuffleExamples(SparseDataset& data, uint64_t seed);
 void ShuffleRatings(RatingsDataset& data, uint64_t seed);
 
 // Sorts training ratings by item — the paper sorts the Netflix input by movie

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
+#include <string>
+#include <vector>
 
 namespace malt {
 
-Result<bool> ParseLibsvmLine(const std::string& line, SparseExample* out) {
+Result<bool> ParseLibsvmLine(const std::string& line, SparseRows* out) {
   size_t pos = line.find_first_not_of(" \t\r");
   if (pos == std::string::npos || line[pos] == '#') {
     return false;
@@ -18,9 +20,8 @@ Result<bool> ParseLibsvmLine(const std::string& line, SparseExample* out) {
   if (cursor == text) {
     return InvalidArgumentError("bad label in line: " + line.substr(0, 60));
   }
-  out->label = label > 0 ? 1.0f : -1.0f;
-  out->idx.clear();
-  out->val.clear();
+  std::vector<uint32_t> idx;
+  std::vector<float> val;
 
   const char* p = cursor;
   for (;;) {
@@ -40,44 +41,46 @@ Result<bool> ParseLibsvmLine(const std::string& line, SparseExample* out) {
       return InvalidArgumentError("bad feature value in line: " + line.substr(0, 60));
     }
     p = cursor;
-    out->idx.push_back(static_cast<uint32_t>(index - 1));  // to 0-based
-    out->val.push_back(static_cast<float>(value));
+    idx.push_back(static_cast<uint32_t>(index - 1));  // to 0-based
+    val.push_back(static_cast<float>(value));
   }
-  if (!std::is_sorted(out->idx.begin(), out->idx.end())) {
+  if (!std::is_sorted(idx.begin(), idx.end())) {
     // LIBSVM files are canonically sorted; tolerate unsorted input by fixing
     // it (gather codecs and dot products rely on sortedness).
-    std::vector<size_t> order(out->idx.size());
+    std::vector<size_t> order(idx.size());
     for (size_t i = 0; i < order.size(); ++i) {
       order[i] = i;
     }
-    std::sort(order.begin(), order.end(),
-              [&](size_t a, size_t b) { return out->idx[a] < out->idx[b]; });
-    std::vector<uint32_t> idx(out->idx.size());
-    std::vector<float> val(out->val.size());
+    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) { return idx[a] < idx[b]; });
+    std::vector<uint32_t> sorted_idx(idx.size());
+    std::vector<float> sorted_val(val.size());
     for (size_t i = 0; i < order.size(); ++i) {
-      idx[i] = out->idx[order[i]];
-      val[i] = out->val[order[i]];
+      sorted_idx[i] = idx[order[i]];
+      sorted_val[i] = val[order[i]];
     }
-    out->idx = std::move(idx);
-    out->val = std::move(val);
+    idx = std::move(sorted_idx);
+    val = std::move(sorted_val);
   }
+  if (std::adjacent_find(idx.begin(), idx.end()) != idx.end()) {
+    return InvalidArgumentError("repeated feature index in line: " + line.substr(0, 60));
+  }
+  out->Append(idx, val, label > 0 ? 1.0f : -1.0f);
   return true;
 }
 
 namespace {
 
-Result<std::vector<SparseExample>> LoadExamples(const std::string& path, size_t* dim) {
+Result<SparseRows> LoadExamples(const std::string& path, size_t* dim) {
   std::ifstream in(path);
   if (!in) {
     return NotFoundError("cannot open '" + path + "'");
   }
-  std::vector<SparseExample> examples;
+  SparseRows examples;
   std::string line;
   size_t line_number = 0;
   while (std::getline(in, line)) {
     ++line_number;
-    SparseExample ex;
-    Result<bool> parsed = ParseLibsvmLine(line, &ex);
+    Result<bool> parsed = ParseLibsvmLine(line, &examples);
     if (!parsed.ok()) {
       return Status(parsed.status().code(), path + ":" + std::to_string(line_number) + ": " +
                                                 std::string(parsed.status().message()));
@@ -85,10 +88,10 @@ Result<std::vector<SparseExample>> LoadExamples(const std::string& path, size_t*
     if (!*parsed) {
       continue;
     }
+    const SparseExample ex = examples[examples.size() - 1];
     if (!ex.idx.empty()) {
       *dim = std::max(*dim, static_cast<size_t>(ex.idx.back()) + 1);
     }
-    examples.push_back(std::move(ex));
   }
   return examples;
 }
@@ -98,7 +101,7 @@ Result<std::vector<SparseExample>> LoadExamples(const std::string& path, size_t*
 Result<SparseDataset> LoadLibsvm(const std::string& path) {
   SparseDataset data;
   data.name = path;
-  Result<std::vector<SparseExample>> train = LoadExamples(path, &data.dim);
+  Result<SparseRows> train = LoadExamples(path, &data.dim);
   if (!train.ok()) {
     return train.status();
   }
@@ -111,7 +114,7 @@ Result<SparseDataset> LoadLibsvm(const std::string& train_path, const std::strin
   if (!data.ok()) {
     return data;
   }
-  Result<std::vector<SparseExample>> test = LoadExamples(test_path, &data->dim);
+  Result<SparseRows> test = LoadExamples(test_path, &data->dim);
   if (!test.ok()) {
     return test.status();
   }
@@ -121,12 +124,12 @@ Result<SparseDataset> LoadLibsvm(const std::string& train_path, const std::strin
 
 namespace {
 
-Status SaveExamples(const std::vector<SparseExample>& examples, const std::string& path) {
+Status SaveExamples(const SparseRows& examples, const std::string& path) {
   std::ofstream out(path);
   if (!out) {
     return InternalError("cannot write '" + path + "'");
   }
-  for (const SparseExample& ex : examples) {
+  for (const SparseExample ex : examples) {
     out << (ex.label > 0 ? "+1" : "-1");
     for (size_t k = 0; k < ex.idx.size(); ++k) {
       out << ' ' << (ex.idx[k] + 1) << ':' << ex.val[k];

@@ -17,9 +17,11 @@
 
 namespace malt {
 
-// Parses one LIBSVM line into `out`. Returns false for blank/comment lines
-// (out untouched); error status for malformed input.
-[[nodiscard]] Result<bool> ParseLibsvmLine(const std::string& line, SparseExample* out);
+// Parses one LIBSVM line and appends it to `out` as a row with sorted
+// indices. Returns false for blank/comment lines; error status for malformed
+// input, including an index repeated within the line (as libsvm's own
+// reader does). Nothing is appended unless the result is true.
+[[nodiscard]] Result<bool> ParseLibsvmLine(const std::string& line, SparseRows* out);
 
 // Loads a LIBSVM file. dim is grown to fit the largest index seen; labels
 // are mapped to ±1 (0/1 and ±1 conventions both accepted).

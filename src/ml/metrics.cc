@@ -10,24 +10,24 @@
 
 namespace malt {
 
-double MeanHingeLoss(std::span<const float> w, std::span<const SparseExample> examples) {
+double MeanHingeLoss(std::span<const float> w, const SparseRows& examples) {
   if (examples.empty()) {
     return 0;
   }
   double total = 0;
-  for (const SparseExample& ex : examples) {
+  for (const SparseExample ex : examples) {
     const double score = SparseDot(w, ex.idx, ex.val);
     total += HingeLoss(score, ex.label);
   }
   return total / static_cast<double>(examples.size());
 }
 
-double Accuracy(std::span<const float> w, std::span<const SparseExample> examples) {
+double Accuracy(std::span<const float> w, const SparseRows& examples) {
   if (examples.empty()) {
     return 0;
   }
   int correct = 0;
-  for (const SparseExample& ex : examples) {
+  for (const SparseExample ex : examples) {
     const double score = SparseDot(w, ex.idx, ex.val);
     correct += (score >= 0 ? 1.0f : -1.0f) == ex.label ? 1 : 0;
   }
@@ -69,12 +69,12 @@ double AucFromScores(std::span<const double> scores, std::span<const uint8_t> po
   return (positive_rank_sum - pos * (pos + 1) / 2.0) / (pos * neg);
 }
 
-double LinearAuc(std::span<const float> w, std::span<const SparseExample> examples) {
+double LinearAuc(std::span<const float> w, const SparseRows& examples) {
   std::vector<double> scores;
   std::vector<uint8_t> positives;
   scores.reserve(examples.size());
   positives.reserve(examples.size());
-  for (const SparseExample& ex : examples) {
+  for (const SparseExample ex : examples) {
     scores.push_back(SparseDot(w, ex.idx, ex.val));
     positives.push_back(ex.label > 0);
   }

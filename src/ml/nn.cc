@@ -143,24 +143,24 @@ double Mlp::TrainExample(const SparseExample& ex) {
   return loss;
 }
 
-double Mlp::TestAuc(std::span<const SparseExample> test) const {
+double Mlp::TestAuc(const SparseRows& test) const {
   std::vector<double> scores;
   std::vector<uint8_t> positives;
   scores.reserve(test.size());
   positives.reserve(test.size());
-  for (const SparseExample& ex : test) {
+  for (const SparseExample ex : test) {
     scores.push_back(Score(ex));
     positives.push_back(ex.label > 0);
   }
   return AucFromScores(scores, positives);
 }
 
-double Mlp::TestLogLoss(std::span<const SparseExample> test) const {
+double Mlp::TestLogLoss(const SparseRows& test) const {
   if (test.empty()) {
     return 0;
   }
   double total = 0;
-  for (const SparseExample& ex : test) {
+  for (const SparseExample ex : test) {
     total += LogisticLoss(Score(ex), ex.label);
   }
   return total / static_cast<double>(test.size());

@@ -50,8 +50,8 @@ class Mlp {
 
   // Pre-sigmoid score.
   double Score(const SparseExample& ex) const;
-  double TestAuc(std::span<const SparseExample> test) const;
-  double TestLogLoss(std::span<const SparseExample> test) const;
+  double TestAuc(const SparseRows& test) const;
+  double TestLogLoss(const SparseRows& test) const;
 
   double last_step_flops() const { return last_step_flops_; }
 

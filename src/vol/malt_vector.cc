@@ -142,7 +142,7 @@ Status MaltVector::ScatterIndices(std::span<const uint32_t> indices) {
 
 Status MaltVector::ScatterTo(std::span<const int> dsts) { return EncodeAndScatter(&dsts); }
 
-GatherResult MaltVector::GatherEach(int64_t min_iter, const UpdateFn& fn) {
+GatherResult MaltVector::GatherEach(int64_t min_iter, int64_t max_iter, const UpdateFn& fn) {
   GatherResult result;
   int64_t dropped = 0;
   dstorm_.Gather(segment_, [&](const RecvObject& obj) {
@@ -187,7 +187,7 @@ GatherResult MaltVector::GatherEach(int64_t min_iter, const UpdateFn& fn) {
     result.min_iter = result.min_iter < 0 ? iter : std::min(result.min_iter, iter);
     result.max_iter = std::max(result.max_iter, iter);
     fn(u);
-  });
+  }, max_iter);
   c_gathers_->Add(1);
   c_stale_dropped_->Add(dropped);
   c_updates_folded_->Add(result.received);
@@ -195,7 +195,7 @@ GatherResult MaltVector::GatherEach(int64_t min_iter, const UpdateFn& fn) {
   return result;
 }
 
-GatherResult MaltVector::GatherAverage(int64_t min_iter) {
+GatherResult MaltVector::GatherAverage(int64_t min_iter, int64_t max_iter) {
   // local = (local + sum incoming) / (1 + k). For sparse updates only the
   // touched coordinates participate (per-coordinate k = number of updates
   // touching it); untouched coordinates keep the local value — standard
@@ -203,7 +203,7 @@ GatherResult MaltVector::GatherAverage(int64_t min_iter) {
   // sized on the first update, so an empty gather allocates nothing.
   if (options_.layout == Layout::kDense) {
     std::vector<double> acc;
-    const GatherResult result = GatherEach(min_iter, [&](const IncomingUpdate& u) {
+    const GatherResult result = GatherEach(min_iter, max_iter, [&](const IncomingUpdate& u) {
       if (acc.empty()) {
         acc.assign(local_.begin(), local_.end());
       }
@@ -222,7 +222,7 @@ GatherResult MaltVector::GatherAverage(int64_t min_iter) {
 
   std::vector<float> sum;
   std::vector<int> count;
-  const GatherResult result = GatherEach(min_iter, [&](const IncomingUpdate& u) {
+  const GatherResult result = GatherEach(min_iter, max_iter, [&](const IncomingUpdate& u) {
     if (sum.empty()) {
       sum.assign(options_.dim, 0.0f);
       count.assign(options_.dim, 0);
@@ -242,7 +242,7 @@ GatherResult MaltVector::GatherAverage(int64_t min_iter) {
   return result;
 }
 
-GatherResult MaltVector::GatherSum(int64_t min_iter) {
+GatherResult MaltVector::GatherSum(int64_t min_iter, int64_t max_iter) {
   return GatherCustom(
       [](std::span<float> local, const IncomingUpdate& u) {
     if (u.indices.empty()) {
@@ -255,10 +255,10 @@ GatherResult MaltVector::GatherSum(int64_t min_iter) {
       }
     }
   },
-      min_iter);
+      min_iter, max_iter);
 }
 
-GatherResult MaltVector::GatherReplace(int64_t min_iter) {
+GatherResult MaltVector::GatherReplace(int64_t min_iter, int64_t max_iter) {
   return GatherCustom(
       [](std::span<float> local, const IncomingUpdate& u) {
     if (u.indices.empty()) {
@@ -271,11 +271,11 @@ GatherResult MaltVector::GatherReplace(int64_t min_iter) {
       }
     }
   },
-      min_iter);
+      min_iter, max_iter);
 }
 
-GatherResult MaltVector::GatherCustom(const FoldFn& fold, int64_t min_iter) {
-  return GatherEach(min_iter, [&](const IncomingUpdate& u) { fold(local_, u); });
+GatherResult MaltVector::GatherCustom(const FoldFn& fold, int64_t min_iter, int64_t max_iter) {
+  return GatherEach(min_iter, max_iter, [&](const IncomingUpdate& u) { fold(local_, u); });
 }
 
 int64_t MaltVector::MinPeerIteration() const {

@@ -104,16 +104,18 @@ class MaltVector {
 
   // All gathers accept `min_iter`: updates with an older iteration stamp are
   // discarded, the ASP mode that "skips merging updates from stragglers"
-  // (§6.1). The default -1 folds everything.
+  // (§6.1). They also accept `max_iter`: updates with a newer stamp stay
+  // queued for a later gather (Dstorm::Gather), so a BSP round folds exactly
+  // that round's updates. The defaults, -1, fold everything.
   //
   // g.gather(AVG): local = (local + sum of fresh peer updates) / (1 + k).
-  GatherResult GatherAverage(int64_t min_iter = -1);
+  GatherResult GatherAverage(int64_t min_iter = -1, int64_t max_iter = -1);
   // local += sum of fresh peer updates.
-  GatherResult GatherSum(int64_t min_iter = -1);
+  GatherResult GatherSum(int64_t min_iter = -1, int64_t max_iter = -1);
   // Hogwild-style: incoming entries overwrite local ones (per arrival order).
-  GatherResult GatherReplace(int64_t min_iter = -1);
+  GatherResult GatherReplace(int64_t min_iter = -1, int64_t max_iter = -1);
   // User-defined fold.
-  GatherResult GatherCustom(const FoldFn& fold, int64_t min_iter = -1);
+  GatherResult GatherCustom(const FoldFn& fold, int64_t min_iter = -1, int64_t max_iter = -1);
 
   // g.barrier(): synchronous mode support.
   Status Barrier(SimDuration timeout = 0) { return dstorm_.Barrier(timeout); }
@@ -139,8 +141,9 @@ class MaltVector {
   // The one gather path every fold shares: inside dstorm's consume callback
   // it decodes each fresh update, observes its staleness, drops it if older
   // than `min_iter`, tallies it (charged to vol.*) and hands it to `fn`, in
-  // dstorm's order (sender-major, oldest first).
-  GatherResult GatherEach(int64_t min_iter, const UpdateFn& fn);
+  // dstorm's order (sender-major, oldest first). Updates newer than
+  // `max_iter` (when >= 0) are left queued.
+  GatherResult GatherEach(int64_t min_iter, int64_t max_iter, const UpdateFn& fn);
   [[nodiscard]] Status EncodeAndScatter(std::span<const int>* dsts);
   // Records the outgoing stamp with the protocol checker (monotonicity).
   void NoteScatterStamp();

@@ -1,8 +1,7 @@
 // LINT-AS: src/shmem/bad_raw_atomic.h
 // Fixture for tools/lint_malt_api.py --selftest: direct std::atomic use in
-// the model-checked protocol scope (src/base/seqlock.h, src/base/ring_buffer.h,
-// src/shmem/) bypasses the mc:: shim, hiding sync points from the
-// interleaving checker. memory_order tokens and mc:: wrappers stay clean.
+// the model-checked protocol scope (src/base/seqlock.h, src/shmem/) bypasses
+// the mc:: shim, hiding sync points from the interleaving checker. memory_order tokens and mc:: wrappers stay clean.
 // Not compiled.
 
 #include <atomic>  // EXPECT-LINT(raw-atomic) (real code: NOLINT with a reason)

@@ -204,6 +204,22 @@ TEST(Runtime, PerVectorDataflowGraphs) {
   }
 }
 
+// A BSP peer may run one round ahead, so its next object must not overwrite
+// the current one before the gather: BSP vectors need two queue slots.
+TEST(Runtime, BspVectorNeedsTwoQueueSlots) {
+  MaltOptions options = SmallCluster(2);
+  options.queue_depth = 1;
+  EXPECT_DEATH(
+      {
+        Malt malt(options);
+        malt.Run([](Worker& w) { (void)w.CreateVector("model", 4); });
+      },
+      "BSP needs queue_depth >= 2");
+  options.sync = SyncMode::kASP;  // ASP accepts overwrite-on-full
+  Malt malt(options);
+  malt.Run([](Worker& w) { EXPECT_EQ(w.CreateVector("model", 4).dim(), 4u); });
+}
+
 TEST(Runtime, CostModelForFlops) {
   CostModel cost;
   cost.flops_per_sec = 2e9;

@@ -83,6 +83,31 @@ TEST(Dstorm, GatherOnlySeesInNeighbors) {
   }
 }
 
+// A gather bounded at iteration k takes the sender's round-k object and
+// leaves its already-arrived round-k+1 object queued for the next gather.
+TEST(Dstorm, GatherBoundLeavesLaterIterationsQueued) {
+  SimCluster cluster(2);
+  cluster.Run([&](int rank, Dstorm& d, Process&) {
+    SegmentOptions opts;
+    opts.obj_bytes = sizeof(int);
+    opts.graph = AllToAllGraph(2);
+    opts.queue_depth = 2;
+    const SegmentId seg = d.CreateSegment(opts);
+    for (uint32_t iter : {1u, 2u}) {
+      ASSERT_TRUE(d.Scatter(seg, AsBytes(&iter, sizeof(iter)), iter).ok());
+    }
+    ASSERT_TRUE(d.Flush().ok());
+    ASSERT_TRUE(d.Barrier().ok());
+    std::vector<uint32_t> seen;
+    auto note = [&](const RecvObject& obj) { seen.push_back(obj.iter); };
+    EXPECT_EQ(d.Gather(seg, note, /*max_iter=*/0), 0);
+    EXPECT_EQ(d.Gather(seg, note, /*max_iter=*/1), 1);
+    EXPECT_EQ(d.Gather(seg, note, /*max_iter=*/1), 0);
+    EXPECT_EQ(d.Gather(seg, note, /*max_iter=*/2), 1);
+    EXPECT_EQ(seen, (std::vector<uint32_t>{1, 2})) << "rank " << rank;
+  });
+}
+
 TEST(Dstorm, FreshnessNoDoubleConsume) {
   SimCluster cluster(2);
   cluster.Run([&](int rank, Dstorm& d, Process&) {

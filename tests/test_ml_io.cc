@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -30,10 +31,12 @@ class IoTest : public ::testing::Test {
 };
 
 TEST_F(IoTest, ParseLineBasics) {
-  SparseExample ex;
-  Result<bool> parsed = ParseLibsvmLine("+1 3:0.5 7:-1.25 100:2", &ex);
+  SparseRows rows;
+  Result<bool> parsed = ParseLibsvmLine("+1 3:0.5 7:-1.25 100:2", &rows);
   ASSERT_TRUE(parsed.ok());
   EXPECT_TRUE(*parsed);
+  ASSERT_EQ(rows.size(), 1u);
+  const SparseExample ex = rows[0];
   EXPECT_EQ(ex.label, 1.0f);
   ASSERT_EQ(ex.idx.size(), 3u);
   EXPECT_EQ(ex.idx[0], 2u);  // 1-based -> 0-based
@@ -42,42 +45,65 @@ TEST_F(IoTest, ParseLineBasics) {
 }
 
 TEST_F(IoTest, ParseLineLabelConventions) {
-  SparseExample ex;
-  ASSERT_TRUE(ParseLibsvmLine("-1 1:1", &ex).ok());
-  EXPECT_EQ(ex.label, -1.0f);
-  ASSERT_TRUE(ParseLibsvmLine("0 1:1", &ex).ok());
-  EXPECT_EQ(ex.label, -1.0f);  // 0/1 convention maps 0 to -1
-  ASSERT_TRUE(ParseLibsvmLine("1 1:1", &ex).ok());
-  EXPECT_EQ(ex.label, 1.0f);
+  SparseRows rows;
+  ASSERT_TRUE(ParseLibsvmLine("-1 1:1", &rows).ok());
+  ASSERT_TRUE(ParseLibsvmLine("0 1:1", &rows).ok());
+  ASSERT_TRUE(ParseLibsvmLine("1 1:1", &rows).ok());
+  ASSERT_EQ(rows.size(), 3u);
+  EXPECT_EQ(rows[0].label, -1.0f);
+  EXPECT_EQ(rows[1].label, -1.0f);  // 0/1 convention maps 0 to -1
+  EXPECT_EQ(rows[2].label, 1.0f);
 }
 
 TEST_F(IoTest, ParseLineSkipsBlankAndComments) {
-  SparseExample ex;
-  Result<bool> blank = ParseLibsvmLine("   ", &ex);
+  SparseRows rows;
+  Result<bool> blank = ParseLibsvmLine("   ", &rows);
   ASSERT_TRUE(blank.ok());
   EXPECT_FALSE(*blank);
-  Result<bool> comment = ParseLibsvmLine("# header", &ex);
+  Result<bool> comment = ParseLibsvmLine("# header", &rows);
   ASSERT_TRUE(comment.ok());
   EXPECT_FALSE(*comment);
+  EXPECT_TRUE(rows.empty());
 }
 
 TEST_F(IoTest, ParseLineRejectsMalformed) {
-  SparseExample ex;
-  EXPECT_FALSE(ParseLibsvmLine("abc 1:1", &ex).ok());
-  EXPECT_FALSE(ParseLibsvmLine("+1 0:1", &ex).ok());    // 1-based indices
-  EXPECT_FALSE(ParseLibsvmLine("+1 5", &ex).ok());      // missing colon
-  EXPECT_FALSE(ParseLibsvmLine("+1 5:", &ex).ok());     // missing value
+  SparseRows rows;
+  EXPECT_FALSE(ParseLibsvmLine("abc 1:1", &rows).ok());
+  EXPECT_FALSE(ParseLibsvmLine("+1 0:1", &rows).ok());    // 1-based indices
+  EXPECT_FALSE(ParseLibsvmLine("+1 5", &rows).ok());      // missing colon
+  EXPECT_FALSE(ParseLibsvmLine("+1 5:", &rows).ok());     // missing value
+  EXPECT_TRUE(rows.empty());
 }
 
 TEST_F(IoTest, ParseLineSortsUnsortedFeatures) {
-  SparseExample ex;
-  ASSERT_TRUE(ParseLibsvmLine("+1 9:9 2:2 5:5", &ex).ok());
+  SparseRows rows;
+  ASSERT_TRUE(ParseLibsvmLine("+1 9:9 2:2 5:5", &rows).ok());
+  const SparseExample ex = rows[0];
   ASSERT_EQ(ex.idx.size(), 3u);
   EXPECT_EQ(ex.idx[0], 1u);
   EXPECT_EQ(ex.idx[1], 4u);
   EXPECT_EQ(ex.idx[2], 8u);
   EXPECT_FLOAT_EQ(ex.val[0], 2.0f);
   EXPECT_FLOAT_EQ(ex.val[2], 9.0f);
+}
+
+// A row's indices are a set (the SVM step and the codecs rely on it), so a
+// repeated index is an error, sorted or not, as in libsvm's own reader.
+TEST_F(IoTest, ParseLineRejectsRepeatedIndex) {
+  SparseRows rows;
+  Result<bool> adjacent = ParseLibsvmLine("+1 2:1 2:3", &rows);
+  ASSERT_FALSE(adjacent.ok());
+  EXPECT_EQ(adjacent.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(adjacent.status().message().find("repeated"), std::string_view::npos);
+  Result<bool> unsorted = ParseLibsvmLine("-1 7:1 2:1 7:2", &rows);
+  ASSERT_FALSE(unsorted.ok());
+  EXPECT_EQ(unsorted.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(rows.empty());
+
+  const std::string path = Write("dup.svm", "+1 1:1 3:1\n-1 4:1 4:2\n");
+  Result<SparseDataset> data = LoadLibsvm(path);
+  ASSERT_FALSE(data.ok());
+  EXPECT_NE(data.status().message().find(":2:"), std::string_view::npos);
 }
 
 TEST_F(IoTest, LoadFileAndDim) {
@@ -121,7 +147,7 @@ TEST_F(IoTest, RoundTrip) {
   ASSERT_EQ(loaded->test.size(), original.test.size());
   for (size_t i = 0; i < original.train.size(); ++i) {
     EXPECT_EQ(loaded->train[i].label, original.train[i].label);
-    ASSERT_EQ(loaded->train[i].idx, original.train[i].idx);
+    ASSERT_TRUE(std::ranges::equal(loaded->train[i].idx, original.train[i].idx));
     for (size_t k = 0; k < original.train[i].val.size(); ++k) {
       EXPECT_NEAR(loaded->train[i].val[k], original.train[i].val[k], 1e-5);
     }

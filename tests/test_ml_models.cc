@@ -3,9 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <vector>
 
 #include "src/ml/dataset.h"
+#include "src/ml/linalg.h"
 #include "src/ml/loss.h"
 #include "src/ml/metrics.h"
 #include "src/ml/mf.h"
@@ -65,12 +67,40 @@ TEST(Svm, LearnsSeparableTask) {
 TEST(Svm, StepFlopsScaleWithNnz) {
   std::vector<float> w(100, 0.0f);
   SvmSgd svm(w, SvmOptions{});
-  SparseExample ex;
-  ex.idx = {1, 2, 3, 4};
-  ex.val = {1, 1, 1, 1};
-  ex.label = 1;
-  svm.TrainExample(ex);
+  const uint32_t idx[] = {1, 2, 3, 4};
+  const float val[] = {1, 1, 1, 1};
+  svm.TrainExample(SparseExample{idx, val, 1});
   EXPECT_DOUBLE_EQ(svm.last_step_flops(), 24.0);  // 6 * nnz
+}
+
+// TrainExample shrinks and updates each touched coordinate in one pass. With
+// distinct indices that is bit-for-bit the shrink pass then the axpy pass.
+TEST(Svm, OnePassStepMatchesShrinkThenAxpy) {
+  ClassificationConfig config;
+  config.dim = 300;
+  config.train_n = 2000;
+  config.test_n = 1;
+  config.avg_nnz = 20;
+  const SparseDataset data = MakeClassification(config);
+  const SvmOptions options;
+  std::vector<float> fused(config.dim, 0.0f);
+  std::vector<float> reference(config.dim, 0.0f);
+  SvmSgd svm(fused, options);
+  int64_t t = 0;
+  for (const SparseExample ex : data.train) {
+    svm.TrainExample(ex);
+    ++t;
+    const float eta =
+        options.eta0 / (1.0f + options.lambda * options.eta0 * static_cast<float>(t));
+    const double loss = HingeLoss(SparseDot(reference, ex.idx, ex.val), ex.label);
+    for (const uint32_t i : ex.idx) {
+      reference[i] -= eta * options.lambda * reference[i];
+    }
+    if (loss > 0) {
+      SparseAxpy(eta * ex.label, ex.idx, ex.val, reference);
+    }
+  }
+  EXPECT_EQ(std::memcmp(fused.data(), reference.data(), fused.size() * sizeof(float)), 0);
 }
 
 TEST(Mf, LearnsLowRankStructure) {

@@ -36,9 +36,10 @@
 #                      the straggler warning, the critical-path records, and
 #                      tools/health_report.py's tables must all name the
 #                      planted rank.
-#   7. TSan build + ctest -L shmem + test_sim_engine — the shared-memory
-#                      transport suite (real concurrent rank threads) and the
-#                      simulator engine's fiber switches under
+#   7. TSan build + ctest -L shmem + test_sim_engine + test_ml_dataset — the
+#                      shared-memory transport suite (real concurrent rank
+#                      threads), the simulator engine's fiber switches and the
+#                      parallel dataset generator under
 #                      ThreadSanitizer, plus an 8-rank malt_run with the 50ms
 #                      metrics sampler racing the workers; any data race
 #                      fails the gate.
@@ -227,16 +228,18 @@ else
      && cmake --build "$TSAN_BUILD_DIR" -j "$JOBS" \
           --target test_base_seqlock test_shmem_transport test_shmem_dstorm test_shmem_runtime \
                    test_check_shmem test_telemetry_flow test_telemetry_stream \
-                   test_telemetry_health test_telemetry_flightrec test_sim_engine malt_run \
+                   test_telemetry_health test_telemetry_flightrec test_sim_engine test_ml_dataset \
+                   malt_run \
           > /tmp/malt_check_tsan_build.log 2>&1; then
     echo "TSan build OK"
-    note "ctest -L shmem + test_sim_engine (ThreadSanitizer)"
+    note "ctest -L shmem + test_sim_engine + test_ml_dataset (ThreadSanitizer)"
     if (cd "$TSAN_BUILD_DIR" && export TSAN_OPTIONS="halt_on_error=1" \
           && ctest -L shmem --output-on-failure -j "$JOBS" \
-          && ctest -R '^test_sim_engine$' --output-on-failure); then
-      echo "shmem + engine TSan tests OK"
+          && ctest -R '^test_sim_engine$' --output-on-failure \
+          && ctest -R '^test_ml_dataset$' --output-on-failure); then
+      echo "shmem + engine + dataset generator TSan tests OK"
     else
-      fail "ctest -L shmem / test_sim_engine under TSan"
+      fail "ctest -L shmem / test_sim_engine / test_ml_dataset under TSan"
     fi
     # Observability acceptance run: 8 concurrent rank threads with flow
     # tracing on and the wall-clock NDJSON sampler racing them at 50ms,

@@ -34,11 +34,11 @@ Rules:
                   thread-safety analysis (-Werror=thread-safety) sees every
                   lock.
   raw-atomic      In the model-checked protocol code (src/base/seqlock.h,
-                  src/base/ring_buffer.h, src/shmem/), direct std::atomic /
-                  std::atomic_ref / std::atomic_flag / std::atomic_thread_fence
-                  use bypasses the mc:: shim (src/base/mc.h), so the
-                  interleaving checker would not see those sync points and its
-                  exhaustive runs would silently under-approximate. Use
+                  src/shmem/), direct std::atomic / std::atomic_ref /
+                  std::atomic_flag / std::atomic_thread_fence use bypasses
+                  the mc:: shim (src/base/mc.h), so the interleaving checker
+                  would not see those sync points and its exhaustive runs
+                  would silently under-approximate. Use
                   mc::atomic<T>, mc::atomic_flag, mc::Fence, and the mc::
                   word-atomic helpers. std::memory_order tokens are fine —
                   they parameterize the shim, they do not bypass it.
@@ -94,7 +94,7 @@ RAW_MUTEX = re.compile(
 # Model-checked protocol code: every atomic op must route through the mc::
 # shim so the interleaving checker sees it as a sync point. memory_order
 # tokens are deliberately NOT matched (they parameterize the shim).
-MC_SHIM_SCOPE = ("src/base/seqlock.h", "src/base/ring_buffer.h", "src/shmem/")
+MC_SHIM_SCOPE = ("src/base/seqlock.h", "src/shmem/")
 RAW_ATOMIC = re.compile(
     r"std::atomic(?:_ref|_flag|_thread_fence|_signal_fence)?\b|"
     r"\bATOMIC_FLAG_INIT\b|"
