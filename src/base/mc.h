@@ -338,37 +338,6 @@ inline unsigned char RelaxedByteLoad(const unsigned char* p) {
   return detail::RelaxedRefLoad(p);
 }
 
-// Lock-free float accumulate cells (shmem PostFloatAdd / DrainFloatRegion).
-// RMWs: coherent on the current value, committed immediately.
-inline void FloatRefAdd(float* p, float v) {
-  SchedulerClient* s = Current();
-  std::atomic_ref<float> cell(*p);
-  if (s == nullptr) {
-    float cur = cell.load(std::memory_order_relaxed);
-    while (!cell.compare_exchange_weak(cur, cur + v, std::memory_order_relaxed)) {
-    }
-    return;
-  }
-  s->SyncPoint(p, SchedulerClient::Op::kRmw);
-  s->FlushVar(p);
-  cell.store(cell.load(std::memory_order_relaxed) + v, std::memory_order_relaxed);
-  s->NoteCommit();
-}
-
-inline float FloatRefExchange(float* p, float v) {
-  SchedulerClient* s = Current();
-  if (s == nullptr) {
-    return std::atomic_ref<float>(*p).exchange(v, std::memory_order_relaxed);
-  }
-  s->SyncPoint(p, SchedulerClient::Op::kRmw);
-  s->FlushVar(p);
-  std::atomic_ref<float> cell(*p);
-  const float old = cell.load(std::memory_order_relaxed);
-  cell.store(v, std::memory_order_relaxed);
-  s->NoteCommit();
-  return old;
-}
-
 // Plain (non-atomic) shared cells the protocol publishes via a later release
 // operation — e.g. a completion ring's slot contents. Modeled exactly like
 // relaxed stores (the compiler and CPU are free to delay them just the
@@ -456,16 +425,6 @@ inline void RelaxedByteStore(unsigned char* p, unsigned char v) {
 }
 inline unsigned char RelaxedByteLoad(const unsigned char* p) {
   return std::atomic_ref<const unsigned char>(*p).load(std::memory_order_relaxed);
-}
-
-inline void FloatRefAdd(float* p, float v) {
-  std::atomic_ref<float> cell(*p);
-  float cur = cell.load(std::memory_order_relaxed);
-  while (!cell.compare_exchange_weak(cur, cur + v, std::memory_order_relaxed)) {
-  }
-}
-inline float FloatRefExchange(float* p, float v) {
-  return std::atomic_ref<float>(*p).exchange(v, std::memory_order_relaxed);
 }
 
 template <typename T>

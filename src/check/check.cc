@@ -228,7 +228,7 @@ void ProtocolChecker::OnRemoteWriteApply(int src, int dst, uint32_t rkey, size_t
   ReaderMutexLock reg_lock(reg_mu_);
   ShadowSegment* seg = FindSegmentLocked(dst, rkey);
   if (seg == nullptr) {
-    return;  // barrier counters, probe scratch, accumulators: not slot-structured
+    return;  // barrier counters, probe scratch: not slot-structured
   }
   events_checked_.fetch_add(1, std::memory_order_relaxed);
 

@@ -209,8 +209,8 @@ class ProtocolChecker {
 
   // `wire` is the full posted image (transports snapshot or hold the payload
   // across the apply, so it is available even for split applies).
-  // Unregistered regions (barrier counters, probe scratch, accumulators) are
-  // ignored. Thread-safe; call from the applying (sender's) thread.
+  // Unregistered regions (barrier counters, probe scratch) are ignored.
+  // Thread-safe; call from the applying (sender's) thread.
   void OnRemoteWriteApply(int src, int dst, uint32_t rkey, size_t offset,
                           std::span<const std::byte> wire, ApplyPhase phase, SimTime now);
 

@@ -134,8 +134,8 @@ class Transport {
   // is a concurrency hint for backends with real parallelism: nonzero means
   // writers touch disjoint stripe-aligned windows of that size (dstorm's
   // per-sender slots), and each stripe gets its own SeqLock so Read() can
-  // detect in-flight overwrites. 0 means no striped guard (single-word or
-  // add-only regions). The simulator ignores the hint.
+  // detect in-flight overwrites. 0 means no striped guard (regions of
+  // single-word writes). The simulator ignores the hint.
   virtual MrHandle RegisterMemory(int node, size_t bytes, size_t guard_stripe_bytes) = 0;
   MrHandle RegisterMemory(int node, size_t bytes) { return RegisterMemory(node, bytes, 0); }
 
@@ -171,19 +171,6 @@ class Transport {
                              std::span<const std::byte> data) {
     return PostWrite(src, now, dst_mr, dst_offset, data, WireTrace{});
   }
-
-  // Posts a one-sided *accumulating* write: each float in `values` is added
-  // to the destination floats in place — the fetch_and_add aggregation the
-  // paper's conclusion proposes doing in hardware. Same queueing/completion
-  // semantics as PostWrite. The destination range must be float-aligned.
-  [[nodiscard]] virtual Result<uint64_t> PostFloatAdd(int src, SimTime now, MrHandle dst_mr, size_t dst_offset,
-                                        std::span<const float> values) = 0;
-
-  // Atomically drains an accumulator region laid out as out.size() sum
-  // floats plus one trailing contribution-count float: copies the sums into
-  // `out`, zeroes the region, and returns the count. Atomic with respect to
-  // in-flight PostFloatAdds.
-  virtual int64_t DrainFloatRegion(MrHandle mr, std::span<float> out) = 0;
 
   // True when `node` may post another write without exceeding the send
   // queue. The shmem transport applies writes inline and is never full.

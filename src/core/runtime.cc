@@ -199,10 +199,6 @@ MaltVector Worker::CreateVectorWithGraph(const std::string& name, size_t dim, co
   return MaltVector(*dstorm_, std::move(opts));
 }
 
-GradientAccumulator Worker::CreateAccumulator(const std::string& name, size_t dim) {
-  return GradientAccumulator(*dstorm_, name, dim, malt_->dataflow());
-}
-
 Status Worker::Barrier() {
   const SimTime t0 = ctx_->Now();
   Status status = dstorm_->Barrier(options().barrier_timeout);

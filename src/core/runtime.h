@@ -33,7 +33,6 @@
 #include "src/telemetry/flightrec.h"
 #include "src/telemetry/health.h"
 #include "src/telemetry/stream.h"
-#include "src/vol/accumulator.h"
 #include "src/vol/malt_vector.h"
 
 namespace malt {
@@ -95,10 +94,6 @@ class Worker {
   // per neural-network layer).
   MaltVector CreateVectorWithGraph(const std::string& name, size_t dim, const Graph& graph,
                                    Layout layout = Layout::kDense, size_t max_nnz = 0);
-
-  // Creates a NIC-aggregated gradient accumulator over the run's dataflow
-  // (the paper's fetch_and_add future work; see src/vol/accumulator.h).
-  GradientAccumulator CreateAccumulator(const std::string& name, size_t dim);
 
   // Fault-aware barrier: on timeout, runs a health check, removes dead peers
   // and re-arms. Returns a non-OK status only on unrecoverable errors.

@@ -195,19 +195,6 @@ SegmentId Dstorm::CreateSegment(const SegmentOptions& options) {
       << "queue depth must be in [1, " << kMaxQueueDepth << "], got " << options.queue_depth;
   MALT_CHECK(options.graph.size() == world_)
       << "dataflow graph size " << options.graph.size() << " != world " << world_;
-  return CreateCollective(options, /*accumulator=*/false);
-}
-
-SegmentId Dstorm::CreateAccumulator(size_t dim, const Graph& graph) {
-  MALT_CHECK(dim > 0) << "accumulator needs dim > 0";
-  MALT_CHECK(graph.size() == world_) << "accumulator graph size mismatch";
-  SegmentOptions options;
-  options.obj_bytes = dim * sizeof(float);
-  options.graph = graph;
-  return CreateCollective(options, /*accumulator=*/true);
-}
-
-SegmentId Dstorm::CreateCollective(const SegmentOptions& options, bool accumulator) {
   // Segment ids are assigned by per-node call order; the collective contract
   // is that every node creates the same segments in the same order. (The id
   // cannot come from segments_.size(): the first creator materializes the
@@ -216,10 +203,8 @@ SegmentId Dstorm::CreateCollective(const SegmentOptions& options, bool accumulat
   const auto seg_id = static_cast<SegmentId>(own_segments_.size());
   // Queue slots are header + payload + trailer, and each slot is its own
   // guard stripe: concurrent senders own disjoint slots, so stripes never see
-  // two writers. Accumulators have no slots and no striped guard: they are
-  // add-only (element-wise atomic adds) until drained.
-  const size_t stride =
-      accumulator ? 0 : AlignUp8(kPayloadOff + options.obj_bytes + sizeof(uint64_t));
+  // two writers.
+  const size_t stride = AlignUp8(kPayloadOff + options.obj_bytes + sizeof(uint64_t));
 
   // Collective registry: the first caller defines the spec and registers the
   // receive region on *every* node (the paper's synchronous segment
@@ -238,13 +223,10 @@ SegmentId Dstorm::CreateCollective(const SegmentOptions& options, bool accumulat
   }
   specs.push_back(options);
   for (int node = 0; node < world_; ++node) {
-    // Queue receive space: one queue per in-neighbor only (a star topology's
-    // leaves keep just one queue instead of world-many). Accumulator: dim sum
-    // floats + 1 contribution-count float.
+    // Receive space: one queue per in-neighbor only (a star topology's
+    // leaves keep just one queue instead of world-many).
     const size_t region_bytes =
-        accumulator ? options.obj_bytes + sizeof(float)
-                    : options.graph.InEdges(node).size() *
-                          static_cast<size_t>(options.queue_depth) * stride;
+        options.graph.InEdges(node).size() * static_cast<size_t>(options.queue_depth) * stride;
     MrHandle mr = transport_->RegisterMemory(node, region_bytes, stride);
     MALT_CHECK(mr.rkey == static_cast<uint32_t>(seg_id) + 2)
         << "segment rkey layout diverged on node " << node;
@@ -258,11 +240,7 @@ SegmentId Dstorm::CreateCollective(const SegmentOptions& options, bool accumulat
     peer.segments_.push_back(Segment{});
     Segment& s = peer.segments_.back();
     s.options = options;
-    s.accumulator = accumulator;
     s.recv_mr = mr;
-    if (accumulator) {
-      continue;
-    }
     s.slot_stride = stride;
     s.snapshot.resize(stride);
     s.sender_pos_at.assign(static_cast<size_t>(world_), -1);
@@ -290,46 +268,6 @@ SegmentId Dstorm::CreateCollective(const SegmentOptions& options, bool accumulat
   }
   own_segments_.push_back(&segments_[static_cast<size_t>(seg_id)]);
   return seg_id;
-}
-
-Status Dstorm::ScatterAdd(SegmentId seg, std::span<const float> values) {
-  MALT_CHECK(ctx_ != nullptr) << "Dstorm not bound to an execution context";
-  Segment& s = GetSegment(seg);
-  if (!s.accumulator) {
-    return FailedPreconditionError("ScatterAdd requires an accumulator segment");
-  }
-  if (values.size_bytes() != s.options.obj_bytes) {
-    return InvalidArgumentError("ScatterAdd size mismatch");
-  }
-  // One combined payload: the contribution values plus a 1.0 for the count.
-  std::vector<float> wire(values.begin(), values.end());
-  wire.push_back(1.0f);
-  Status first_error;
-  for (int dst : s.options.graph.OutEdges(rank_)) {
-    if (!group_member_[static_cast<size_t>(dst)]) {
-      continue;
-    }
-    WaitForSendRoom();
-    const MrHandle dst_mr{dst, static_cast<uint32_t>(seg) + 2};
-    Result<uint64_t> posted = transport_->PostFloatAdd(rank_, ctx_->Now(), dst_mr, 0, wire);
-    if (!posted.ok() && first_error.ok()) {
-      first_error = posted.status();
-    }
-    if (posted.ok()) {
-      c_objects_sent_->Add(1);
-    }
-  }
-  c_scatters_->Add(1);
-  DrainCompletions();
-  return first_error;
-}
-
-int64_t Dstorm::DrainAccumulator(SegmentId seg, std::span<float> out) {
-  Segment& s = GetSegment(seg);
-  MALT_CHECK(s.accumulator) << "DrainAccumulator requires an accumulator segment";
-  const size_t dim = s.options.obj_bytes / sizeof(float);
-  MALT_CHECK(out.size() == dim) << "DrainAccumulator size mismatch";
-  return transport_->DrainFloatRegion(s.recv_mr, out);
 }
 
 Status Dstorm::PostObject(SegmentId seg, Segment& s, int dst, std::span<std::byte> wire,

@@ -108,7 +108,8 @@ class alignas(64) Dstorm {
   // are numbered by call order. Registers the receive memory on this node.
   // All segments must be created before data-plane traffic starts (the
   // paper's synchronous segment creation). Invalid options (including a
-  // queue depth outside 1..16) abort before any memory is registered.
+  // queue depth outside 1..16) abort before any memory is registered, and so
+  // does an obj_bytes or queue_depth that differs from the first creator's.
   SegmentId CreateSegment(const SegmentOptions& options);
 
   // Pushes `payload` (<= obj_bytes) with iteration stamp `iter` to every
@@ -168,24 +169,6 @@ class alignas(64) Dstorm {
   // with different per-epoch round counts after re-sharding.
   void FinishBarriers();
 
-  // --- hardware aggregation (paper conclusion: fetch_and_add in the NIC) ----
-
-  // Creates an accumulator segment: one float array per node into which
-  // peers' contributions are *added by the NIC itself* (PostFloatAdd), so
-  // folding costs the receiver no CPU at all. Collective, like
-  // CreateSegment. Returns a segment id usable only with ScatterAdd /
-  // DrainAccumulator.
-  SegmentId CreateAccumulator(size_t dim, const Graph& graph);
-
-  // Adds `values` (exactly `dim` floats) into every live out-neighbor's
-  // accumulator, one one-sided accumulating write per receiver.
-  [[nodiscard]] Status ScatterAdd(SegmentId seg, std::span<const float> values);
-
-  // Copies this node's accumulated sum into `out` (dim floats), zeroes the
-  // accumulator, and returns the number of contributions folded since the
-  // last drain. Atomic with respect to in-flight adds.
-  int64_t DrainAccumulator(SegmentId seg, std::span<float> out);
-
   // --- fault integration ----------------------------------------------------
 
   // Actively probes `peer` with a tiny one-sided write and waits for its
@@ -217,7 +200,6 @@ class alignas(64) Dstorm {
   // reads are ever needed.
   struct Segment {
     SegmentOptions options;
-    bool accumulator = false;               // NIC-aggregated segment (no queues)
     MrHandle recv_mr;                       // this node's receive queues
     size_t slot_stride = 0;                 // header + payload + trailer, aligned
     std::vector<int> sender_pos_at;         // per receiver: my in-edge position (-1: none)
@@ -232,12 +214,6 @@ class alignas(64) Dstorm {
 
   Dstorm(DstormDomain* domain, Transport* transport, int rank, int world,
          RankTelemetry* telemetry);
-
-  // The collective registration behind CreateSegment and CreateAccumulator:
-  // assigns the id by call order; the first creator records `options` in
-  // the domain registry and registers the segment's receive region on every
-  // node; later creators must pass matching options.
-  SegmentId CreateCollective(const SegmentOptions& options, bool accumulator);
 
   // Posts one scatter's slot image `wire` (header | payload | back stamp) to
   // `dst`, stamping both sequence fields with the destination's next seq.
@@ -286,7 +262,7 @@ class alignas(64) Dstorm {
   // pointers in own_segments_ stay valid without the lock.
   std::deque<Segment> segments_ MALT_GUARDED_BY(domain_->mu_);
   // Owner-thread index by segment id, one entry per segment this node has
-  // created: appended only by this rank's own CreateCollective (under the
+  // created: appended only by this rank's own CreateSegment (under the
   // domain mutex, which orders any peer's earlier append before it), read
   // without a lock by every data-plane call.
   std::vector<Segment*> own_segments_;

@@ -6,18 +6,6 @@
 
 namespace malt {
 
-namespace {
-
-// Lock-free float accumulate: the fetch_and_add the paper proposes doing in
-// NIC hardware, implemented with a CAS loop per element. Relaxed ordering is
-// enough — accumulator drains synchronize through barriers. Routed through
-// the mc:: shim so the model checker sees the RMWs as sync points.
-void AtomicFloatAdd(float* p, float v) { mc::FloatRefAdd(p, v); }
-
-float AtomicFloatExchange(float* p, float v) { return mc::FloatRefExchange(p, v); }
-
-}  // namespace
-
 // --- CompletionRing ----------------------------------------------------------
 
 CompletionRing::CompletionRing(size_t capacity_pow2)
@@ -92,7 +80,6 @@ ShmemTransport::ShmemTransport(int nodes, ShmemOptions options, TelemetryDomain*
     MetricRegistry& reg = telemetry_->rank(node).metrics;
     NodeCounters& c = counters_[static_cast<size_t>(node)];
     c.writes_posted = reg.GetCounter("fabric.writes_posted");
-    c.float_adds_posted = reg.GetCounter("fabric.float_adds_posted");
     c.bytes_sent = reg.GetCounter("fabric.bytes_sent");
     c.bytes_received = reg.GetCounter("fabric.bytes_received");
     c.completions_success = reg.GetCounter("fabric.completions.success");
@@ -123,10 +110,10 @@ ShmemTransport::ResolvedEdge ShmemTransport::Edge(int src, int dst) {
                       cell.delivery_ns.load(std::memory_order_acquire)};
 }
 
-void ShmemTransport::AccountPost(int src, int dst, size_t bytes, bool float_add) {
+void ShmemTransport::AccountPost(int src, int dst, size_t bytes) {
   stats_.Record(src, dst, bytes);
   NodeCounters& sc = counters_[static_cast<size_t>(src)];
-  (float_add ? sc.float_adds_posted : sc.writes_posted)->Add(1);
+  sc.writes_posted->Add(1);
   sc.bytes_sent->Add(static_cast<int64_t>(bytes));
   sc.write_bytes->Observe(static_cast<double>(bytes));
   // Cross-thread bump of the receiver's cells; every metric primitive is a
@@ -319,54 +306,9 @@ Result<uint64_t> ShmemTransport::PostWrite(int src, SimTime now, MrHandle dst_mr
       }
     }
   }
-  AccountPost(src, dst, data.size(), /*float_add=*/false);
+  AccountPost(src, dst, data.size());
   PushCompletion(src, Completion{wr_id, dst, status});
   return wr_id;
-}
-
-Result<uint64_t> ShmemTransport::PostFloatAdd(int src, SimTime now, MrHandle dst_mr,
-                                              size_t dst_offset,
-                                              std::span<const float> values) {
-  (void)now;
-  MALT_CHECK(src >= 0 && src < nodes_) << "bad src " << src;
-  if (!dst_mr.valid()) {
-    return InvalidArgumentError("invalid destination memory handle");
-  }
-  const int dst = dst_mr.node;
-  const uint64_t wr_id = next_wr_id_[static_cast<size_t>(src)]++;
-  WcStatus status = WcStatus::kSuccess;
-  if (!NodeAlive(dst)) {
-    status = WcStatus::kRemoteDead;
-  } else {
-    Region* region = FindRegion(dst_mr);
-    if (region == nullptr || !region->registered.load(std::memory_order_acquire) ||
-        dst_offset + values.size_bytes() > region->bytes.size() ||
-        dst_offset % sizeof(float) != 0) {
-      status = WcStatus::kInvalidRkey;
-    } else {
-      auto* dst_floats = reinterpret_cast<float*>(region->bytes.data() + dst_offset);
-      for (size_t i = 0; i < values.size(); ++i) {
-        AtomicFloatAdd(dst_floats + i, values[i]);
-      }
-    }
-  }
-  AccountPost(src, dst, values.size_bytes(), /*float_add=*/true);
-  PushCompletion(src, Completion{wr_id, dst, status});
-  return wr_id;
-}
-
-int64_t ShmemTransport::DrainFloatRegion(MrHandle mr, std::span<float> out) {
-  Region* region = FindRegion(mr);
-  MALT_CHECK(region != nullptr) << "drain through invalid handle";
-  MALT_CHECK((out.size() + 1) * sizeof(float) <= region->bytes.size())
-      << "accumulator region smaller than drain target";
-  auto* floats = reinterpret_cast<float*>(region->bytes.data());
-  // Element-wise atomic exchange: concurrent adds land either in this drain
-  // or the next, never lost and never double-counted.
-  for (size_t i = 0; i < out.size(); ++i) {
-    out[i] = AtomicFloatExchange(floats + i, 0.0f);
-  }
-  return static_cast<int64_t>(AtomicFloatExchange(floats + out.size(), 0.0f));
 }
 
 int ShmemTransport::PollCq(int node, std::span<Completion> out) {

@@ -123,9 +123,6 @@ class ShmemTransport : public Transport {
   [[nodiscard]] Result<uint64_t> PostWrite(int src, SimTime now, MrHandle dst_mr, size_t dst_offset,
                              std::span<const std::byte> data, const WireTrace& trace) override;
   using Transport::PostWrite;
-  [[nodiscard]] Result<uint64_t> PostFloatAdd(int src, SimTime now, MrHandle dst_mr, size_t dst_offset,
-                                std::span<const float> values) override;
-  int64_t DrainFloatRegion(MrHandle mr, std::span<float> out) override;
 
   // Writes apply inline in the sender's thread: the queue never fills and
   // nothing is ever outstanding.
@@ -168,7 +165,6 @@ class ShmemTransport : public Transport {
 
   struct NodeCounters {
     Counter* writes_posted = nullptr;
-    Counter* float_adds_posted = nullptr;
     Counter* bytes_sent = nullptr;
     Counter* bytes_received = nullptr;
     Counter* completions_success = nullptr;
@@ -198,7 +194,7 @@ class ShmemTransport : public Transport {
   Region* FindRegion(MrHandle mr) const;
   void GuardedStore(Region& region, size_t offset, std::span<const std::byte> data);
   void PushCompletion(int src, const Completion& c);
-  void AccountPost(int src, int dst, size_t bytes, bool float_add);
+  void AccountPost(int src, int dst, size_t bytes);
   ResolvedEdge Edge(int src, int dst);
 
   const int nodes_;

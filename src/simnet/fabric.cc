@@ -32,7 +32,6 @@ Fabric::Fabric(Engine& engine, int nodes, FabricOptions options, TelemetryDomain
     MetricRegistry& reg = telemetry_->rank(node).metrics;
     NodeCounters& c = counters_[static_cast<size_t>(node)];
     c.writes_posted = reg.GetCounter("fabric.writes_posted");
-    c.float_adds_posted = reg.GetCounter("fabric.float_adds_posted");
     c.bytes_sent = reg.GetCounter("fabric.bytes_sent");
     c.bytes_received = reg.GetCounter("fabric.bytes_received");
     c.completions_success = reg.GetCounter("fabric.completions.success");
@@ -59,10 +58,10 @@ Fabric::EdgeCells& Fabric::Edge(int src, int dst) {
   return cell;
 }
 
-void Fabric::AccountPost(int src, int dst, size_t bytes, bool float_add) {
+void Fabric::AccountPost(int src, int dst, size_t bytes) {
   stats_.Record(src, dst, bytes);
   NodeCounters& sc = counters_[static_cast<size_t>(src)];
-  (float_add ? sc.float_adds_posted : sc.writes_posted)->Add(1);
+  sc.writes_posted->Add(1);
   sc.bytes_sent->Add(static_cast<int64_t>(bytes));
   sc.write_bytes->Observe(static_cast<double>(bytes));
   counters_[static_cast<size_t>(dst)].bytes_received->Add(static_cast<int64_t>(bytes));
@@ -120,17 +119,6 @@ void Fabric::Write(MrHandle mr, size_t offset, std::span<const std::byte> data) 
   MALT_CHECK(offset + data.size() <= region.bytes.size())
       << "write past region end (rkey " << mr.rkey << ")";
   std::memcpy(region.bytes.data() + offset, data.data(), data.size());
-}
-
-int64_t Fabric::DrainFloatRegion(MrHandle mr, std::span<float> out) {
-  std::span<std::byte> mem = Data(mr);
-  MALT_CHECK((out.size() + 1) * sizeof(float) <= mem.size())
-      << "accumulator region smaller than drain target";
-  auto* floats = reinterpret_cast<float*>(mem.data());
-  std::memcpy(out.data(), floats, out.size() * sizeof(float));
-  const int64_t count = static_cast<int64_t>(floats[out.size()]);
-  std::memset(mem.data(), 0, (out.size() + 1) * sizeof(float));
-  return count;
 }
 
 bool Fabric::HasSendRoom(int node) const {
@@ -198,7 +186,7 @@ Result<uint64_t> Fabric::PostWrite(int src, SimTime now, MrHandle dst_mr, size_t
   const SimTime ack = arrival + options_.net.latency;
 
   outstanding_[static_cast<size_t>(src)] += 1;
-  AccountPost(src, dst, data.size(), /*float_add=*/false);
+  AccountPost(src, dst, data.size());
 
   // DMA snapshot: the payload is captured at post time, so the application
   // may immediately reuse its buffer (same contract as a copying send; the
@@ -264,53 +252,6 @@ Result<uint64_t> Fabric::PostWrite(int src, SimTime now, MrHandle dst_mr, size_t
           checker_->OnRemoteWriteApply(src, dst, dst_mr.rkey, dst_offset, *payload,
                                        ProtocolChecker::ApplyPhase::kFull, engine_.now());
         }
-      }
-    }
-    DeliverCompletion(src, wr_id, dst, status, ack);
-  });
-  return wr_id;
-}
-
-Result<uint64_t> Fabric::PostFloatAdd(int src, SimTime now, MrHandle dst_mr, size_t dst_offset,
-                                      std::span<const float> values) {
-  MALT_CHECK(src >= 0 && src < nodes_) << "bad src " << src;
-  if (!dst_mr.valid()) {
-    return InvalidArgumentError("invalid destination memory handle");
-  }
-  if (!HasSendRoom(src)) {
-    return ResourceExhaustedError("send queue full on node " + std::to_string(src));
-  }
-  const int dst = dst_mr.node;
-  const uint64_t wr_id = next_wr_id_++;
-  const size_t bytes = values.size_bytes();
-
-  const SimTime depart = std::max(now, nic_busy_until_[static_cast<size_t>(src)]);
-  const SimTime dma_done = depart + options_.net.SerializationDelay(bytes);
-  nic_busy_until_[static_cast<size_t>(src)] = dma_done;
-  const SimTime arrival = dma_done + options_.net.latency;
-  const SimTime ack = arrival + options_.net.latency;
-
-  outstanding_[static_cast<size_t>(src)] += 1;
-  AccountPost(src, dst, bytes, /*float_add=*/true);
-
-  auto payload = std::make_shared<std::vector<float>>(values.begin(), values.end());
-  engine_.ScheduleEvent(arrival, [this, src, dst, dst_mr, dst_offset, wr_id, ack, payload] {
-    WcStatus status = WcStatus::kSuccess;
-    Region& region = *regions_[static_cast<size_t>(dst_mr.node)][dst_mr.rkey];
-    if (!alive_[static_cast<size_t>(dst)]) {
-      status = WcStatus::kRemoteDead;
-    } else if (!Reachable(src, dst)) {
-      status = WcStatus::kUnreachable;
-    } else if (!region.registered ||
-               dst_offset + payload->size() * sizeof(float) > region.bytes.size() ||
-               dst_offset % sizeof(float) != 0) {
-      status = WcStatus::kInvalidRkey;
-    } else {
-      // The HCA applies the adds atomically with respect to other network
-      // operations (events are serialized by the engine).
-      auto* dst_floats = reinterpret_cast<float*>(region.bytes.data() + dst_offset);
-      for (size_t i = 0; i < payload->size(); ++i) {
-        dst_floats[i] += (*payload)[i];
       }
     }
     DeliverCompletion(src, wr_id, dst, status, ack);

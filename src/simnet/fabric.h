@@ -111,18 +111,6 @@ class Fabric : public Transport {
                              std::span<const std::byte> data, const WireTrace& trace) override;
   using Transport::PostWrite;
 
-  // Posts a one-sided *accumulating* write: at arrival, each float in
-  // `values` is added to the destination floats in place — the fetch_and_add
-  // aggregation the paper's conclusion proposes doing "in hardware" to cut
-  // gradient-averaging CPU cost. Same queueing/completion semantics as
-  // PostWrite. The destination range must be float-aligned.
-  [[nodiscard]] Result<uint64_t> PostFloatAdd(int src, SimTime now, MrHandle dst_mr, size_t dst_offset,
-                                std::span<const float> values) override;
-
-  // Drains an accumulator region (sums + trailing count float); see
-  // Transport::DrainFloatRegion.
-  int64_t DrainFloatRegion(MrHandle mr, std::span<float> out) override;
-
   // True when `node` may post another write without exceeding the send queue.
   bool HasSendRoom(int node) const override;
   int OutstandingWrites(int node) const override;
@@ -152,7 +140,6 @@ class Fabric : public Transport {
   // are relaxed atomic adds; see src/telemetry/metrics.h).
   struct NodeCounters {
     Counter* writes_posted = nullptr;
-    Counter* float_adds_posted = nullptr;
     Counter* bytes_sent = nullptr;
     Counter* bytes_received = nullptr;
     Counter* completions_success = nullptr;
@@ -173,7 +160,7 @@ class Fabric : public Transport {
 
   void OnKill(int pid);
   void DeliverCompletion(int src, uint64_t wr_id, int dst, WcStatus status, SimTime when);
-  void AccountPost(int src, int dst, size_t bytes, bool float_add);
+  void AccountPost(int src, int dst, size_t bytes);
   EdgeCells& Edge(int src, int dst);
 
   Engine& engine_;

@@ -487,5 +487,25 @@ TEST(DstormDeathTest, UnknownSegmentIdAborts) {
   EXPECT_EQ(cluster.domain.node(0).Gather(0, ignore), 0);  // its own id still works
 }
 
+TEST(DstormDeathTest, MismatchedCollectiveOptionsAbort) {
+  // The first creator registers the segment on every node with its options;
+  // a later creator of the same id with a different object size or queue
+  // depth would compute slot offsets for a layout that does not exist.
+  SimCluster cluster(2);
+  SegmentOptions opts;
+  opts.obj_bytes = 8;
+  opts.graph = AllToAllGraph(2);
+  ASSERT_EQ(cluster.domain.node(0).CreateSegment(opts), 0);
+  SegmentOptions bigger = opts;
+  bigger.obj_bytes = 16;
+  EXPECT_DEATH((void)cluster.domain.node(1).CreateSegment(bigger),
+               "collective segment creation called with mismatched options on rank 1");
+  SegmentOptions deeper = opts;
+  deeper.queue_depth = 4;
+  EXPECT_DEATH((void)cluster.domain.node(1).CreateSegment(deeper),
+               "collective segment creation called with mismatched options on rank 1");
+  EXPECT_EQ(cluster.domain.node(1).CreateSegment(opts), 0);  // matching options join
+}
+
 }  // namespace
 }  // namespace malt

@@ -1,7 +1,7 @@
 // dstorm over the shared-memory transport: ranks are real concurrent
 // threads, so these tests exercise the same protocol as test_dstorm.cc under
 // genuine preemption — all-to-all scatter/gather delivery, the barrier
-// invariant, NIC-style accumulators, and fail-stop detection via probes.
+// invariant, and fail-stop detection via probes.
 // Runs clean under TSan (tools/check.sh MALT_SANITIZE=thread stage).
 
 #include <gtest/gtest.h>
@@ -172,39 +172,6 @@ TEST(ShmemDstorm, BarrierSeparatesRounds) {
           << "exited barrier round " << r << " early";
     }
   });
-}
-
-TEST(ShmemDstorm, AccumulatorFoldsConcurrentContributions) {
-  const int n = 4;
-  const size_t dim = 8;
-  ShmemCluster cluster(n);
-  std::vector<std::vector<float>> drained(n);
-  std::vector<int64_t> contributions(n, 0);
-
-  cluster.Run([&](int rank, Dstorm& d, ShmemRankCtx&) {
-    const SegmentId acc = d.CreateAccumulator(dim, AllToAllGraph(n));
-    std::vector<float> mine(dim, static_cast<float>(rank + 1));
-    ASSERT_TRUE(d.ScatterAdd(acc, mine).ok());
-    ASSERT_TRUE(d.Barrier().ok());
-    std::vector<float>& out = drained[static_cast<size_t>(rank)];
-    out.assign(dim, 0.0f);
-    contributions[static_cast<size_t>(rank)] = d.DrainAccumulator(acc, out);
-    ASSERT_TRUE(d.Barrier().ok());
-  });
-
-  for (int rank = 0; rank < n; ++rank) {
-    // Everyone else contributed (rank+1) once: sum over peers.
-    float expect = 0.0f;
-    for (int peer = 0; peer < n; ++peer) {
-      if (peer != rank) {
-        expect += static_cast<float>(peer + 1);
-      }
-    }
-    EXPECT_EQ(contributions[static_cast<size_t>(rank)], n - 1);
-    for (size_t i = 0; i < dim; ++i) {
-      EXPECT_EQ(drained[static_cast<size_t>(rank)][i], expect);
-    }
-  }
 }
 
 // Fail-stop: a killed rank is observed through failed probes; survivors

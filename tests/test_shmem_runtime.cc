@@ -1,7 +1,7 @@
 // Malt runtime on the shared-memory backend: the same worker body the
 // simulator runs executes on real concurrent threads. Covers end-to-end
-// vector scatter/gather/fold, sim-vs-shmem convergence parity for the SVM
-// app, and watchdog-delivered kills. Runs clean under TSan
+// vector scatter/gather/fold, sim-vs-shmem bit-equality for the SVM and NN
+// apps, and watchdog-delivered kills. Runs clean under TSan
 // (tools/check.sh MALT_SANITIZE=thread stage).
 
 #include <gtest/gtest.h>
@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/apps/nn_app.h"
 #include "src/apps/svm_app.h"
 #include "src/core/runtime.h"
 #include "src/ml/dataset.h"
@@ -126,6 +127,36 @@ TEST(ShmemRuntime, SvmBspModelRoundsBitEqualToSim) {
     EXPECT_EQ(shm.final_loss, sim.final_loss) << ranks << " ranks";
     EXPECT_EQ(shm.final_accuracy, sim.final_accuracy) << ranks << " ranks";
   }
+}
+
+// The NN app at 4 ranks under BSP, with malt_run's data and network: 6000
+// examples per rank and cb 5000 make two rounds an epoch, so 4 epochs reach
+// the first whole-model round (round 8). Every layer's gather is bounded to
+// the round, so shmem must give the simulator's AUC and log loss exactly.
+TEST(ShmemRuntime, NnBspBitEqualToSim) {
+  ClassificationConfig dc = KddLike();
+  dc.train_n = 24000;
+  const SparseDataset data = MakeClassification(dc);
+  NnAppConfig config;
+  config.data = &data;
+  config.epochs = 4;
+  config.cb_size = 5000;
+  config.mlp.hidden1 = 32;
+  config.mlp.hidden2 = 16;
+  ASSERT_GT(config.model_sync_every, 0);
+  ASSERT_LE(config.model_sync_every, 2 * config.epochs);
+
+  auto run = [&](TransportKind kind) {
+    MaltOptions options;
+    options.ranks = 4;
+    options.transport = kind;
+    Malt malt(options);
+    return RunDistributedNn(malt, config);
+  };
+  const NnRunResult sim = run(TransportKind::kSim);
+  const NnRunResult shm = run(TransportKind::kShmem);
+  EXPECT_EQ(shm.final_auc, sim.final_auc);
+  EXPECT_EQ(shm.final_logloss, sim.final_logloss);
 }
 
 TEST(ShmemRuntime, ScheduledKillRemovesRankAndSurvivorsFinish) {

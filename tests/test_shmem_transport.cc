@@ -1,9 +1,8 @@
 // ShmemTransport tests: one-sided writes land as real memcpys with inline
 // completions, dead peers produce error completions, bad handles produce
-// kInvalidRkey, float-add accumulators survive concurrent posters, striped
-// seqlock guards detect torn reads under a racing writer, and TrafficStats
-// aggregates across the matrix. Threaded cases run clean under TSan
-// (tools/check.sh MALT_SANITIZE=thread stage).
+// kInvalidRkey, striped seqlock guards detect torn reads under a racing
+// writer, and TrafficStats aggregates across the matrix. Threaded cases run
+// clean under TSan (tools/check.sh MALT_SANITIZE=thread stage).
 
 #include "src/shmem/shmem_transport.h"
 
@@ -83,42 +82,6 @@ TEST(ShmemTransport, DeregisteredRegionRejectsWrites) {
   Completion c[1];
   ASSERT_EQ(t.PollCq(0, c), 1);
   EXPECT_EQ(c[0].status, WcStatus::kInvalidRkey);
-}
-
-TEST(ShmemTransport, ConcurrentFloatAddsNeverLoseUpdates) {
-  const int n = 4;
-  const size_t dim = 32;
-  const int posts_per_rank = 200;
-  ShmemTransport t(n);
-  // Accumulator layout: dim floats + one trailing contribution counter.
-  const MrHandle mr = t.RegisterMemory(0, (dim + 1) * sizeof(float));
-
-  std::vector<std::thread> threads;
-  for (int rank = 0; rank < n; ++rank) {
-    threads.emplace_back([&, rank] {
-      std::vector<float> ones(dim, 1.0f);
-      const float count = 1.0f;
-      for (int i = 0; i < posts_per_rank; ++i) {
-        ASSERT_TRUE(t.PostFloatAdd(rank, t.now(), mr, 0, ones).ok());
-        ASSERT_TRUE(t.PostFloatAdd(rank, t.now(), mr, dim * sizeof(float),
-                                   std::span<const float>(&count, 1))
-                        .ok());
-      }
-    });
-  }
-  for (auto& th : threads) {
-    th.join();
-  }
-
-  std::vector<float> out(dim, -1.0f);
-  const int64_t contributions = t.DrainFloatRegion(mr, out);
-  EXPECT_EQ(contributions, int64_t{n} * posts_per_rank);
-  for (size_t i = 0; i < dim; ++i) {
-    EXPECT_EQ(out[i], static_cast<float>(n * posts_per_rank)) << "element " << i;
-  }
-  // Exchange-to-zero drain: a second drain sees an empty accumulator.
-  EXPECT_EQ(t.DrainFloatRegion(mr, out), 0);
-  EXPECT_EQ(out[0], 0.0f);
 }
 
 // A reader racing a striped writer either gets a fully consistent snapshot

@@ -233,64 +233,6 @@ TEST(Fabric, TornWritesApplyInTwoHalves) {
   EXPECT_TRUE(saw_torn);
 }
 
-TEST(Fabric, FloatAddAccumulatesAtomically) {
-  Engine engine;
-  Fabric fabric(engine, 3, TestOptions());
-  MrHandle mr = fabric.RegisterMemory(2, 4 * sizeof(float));
-
-  for (int sender : {0, 1}) {
-    engine.AddProcess("s" + std::to_string(sender), [&, sender](Process& p) {
-      const float values[4] = {1.0f, 2.0f, 3.0f, static_cast<float>(sender)};
-      for (int round = 0; round < 5; ++round) {
-        p.WaitUntil([&] { return fabric.HasSendRoom(sender); });
-        ASSERT_TRUE(fabric.PostFloatAdd(sender, p.now(), mr, 0, values).ok());
-        p.Advance(100);
-      }
-      p.WaitUntil([&] { return fabric.OutstandingWrites(sender) == 0; });
-    });
-  }
-  engine.Run();
-  float result[4];
-  std::memcpy(result, fabric.Data(mr).data(), sizeof(result));
-  EXPECT_FLOAT_EQ(result[0], 10.0f);  // 2 senders x 5 rounds x 1.0
-  EXPECT_FLOAT_EQ(result[1], 20.0f);
-  EXPECT_FLOAT_EQ(result[2], 30.0f);
-  EXPECT_FLOAT_EQ(result[3], 5.0f);  // only sender 1 contributes 1.0
-}
-
-TEST(Fabric, FloatAddToDeadNodeErrors) {
-  Engine engine;
-  Fabric fabric(engine, 2, TestOptions());
-  MrHandle mr = fabric.RegisterMemory(1, 16);
-  engine.AddProcess("sender", [&](Process& p) {
-    p.SleepUntil(10'000);
-    const float v[2] = {1, 2};
-    ASSERT_TRUE(fabric.PostFloatAdd(0, p.now(), mr, 0, v).ok());
-    p.WaitUntil([&] { return fabric.CqNonEmpty(0); });
-    Completion c[1];
-    ASSERT_EQ(fabric.PollCq(0, c), 1);
-    EXPECT_EQ(c[0].status, WcStatus::kRemoteDead);
-  });
-  const int victim = engine.AddProcess("victim", [](Process& p) { p.Advance(1'000'000); });
-  engine.ScheduleKill(victim, 5'000);
-  engine.Run();
-}
-
-TEST(Fabric, FloatAddMisalignedOffsetErrors) {
-  Engine engine;
-  Fabric fabric(engine, 2, TestOptions());
-  MrHandle mr = fabric.RegisterMemory(1, 16);
-  engine.AddProcess("sender", [&](Process& p) {
-    const float v[1] = {1};
-    ASSERT_TRUE(fabric.PostFloatAdd(0, p.now(), mr, 2, v).ok());  // misaligned
-    p.WaitUntil([&] { return fabric.CqNonEmpty(0); });
-    Completion c[1];
-    ASSERT_EQ(fabric.PollCq(0, c), 1);
-    EXPECT_EQ(c[0].status, WcStatus::kInvalidRkey);
-  });
-  engine.Run();
-}
-
 TEST(NetworkModel, SerializationDelayScalesWithBytes) {
   NetworkModel net;
   net.bandwidth_bytes_per_sec = 5e9;

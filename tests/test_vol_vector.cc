@@ -8,7 +8,6 @@
 #include <algorithm>
 
 #include "src/comm/graph.h"
-#include "src/vol/accumulator.h"
 #include "tests/sim_cluster.h"
 
 namespace malt {
@@ -328,27 +327,6 @@ TEST(MaltVector, FreshAvailablePredicate) {
       EXPECT_FALSE(v.FreshAvailable());
     }
   });
-}
-
-TEST(GradientAccumulator, WorkerLevelScatterAddAndDrain) {
-  const int n = 4;
-  SimCluster cluster(n);
-  std::vector<double> sums(n);
-  std::vector<int64_t> counts(n);
-  cluster.Run([&](int rank, Dstorm& d, Process&) {
-    GradientAccumulator acc(d, "grad_sum", 8, AllToAllGraph(n));
-    std::vector<float> mine(8, static_cast<float>(rank));
-    ASSERT_TRUE(acc.ScatterAdd(mine).ok());
-    ASSERT_TRUE(d.Flush().ok());
-    ASSERT_TRUE(d.Barrier().ok());
-    std::vector<float> out(8);
-    counts[static_cast<size_t>(rank)] = acc.Drain(out);
-    sums[static_cast<size_t>(rank)] = out[3];
-  });
-  for (int rank = 0; rank < n; ++rank) {
-    EXPECT_DOUBLE_EQ(sums[static_cast<size_t>(rank)], 6.0 - rank);  // 0+1+2+3 minus own
-    EXPECT_EQ(counts[static_cast<size_t>(rank)], n - 1);
-  }
 }
 
 }  // namespace

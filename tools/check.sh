@@ -29,12 +29,12 @@
 #                      validator, on both transports, plus MF under ASP on
 #                      shmem (variable-size sparse objects racing the
 #                      reader, no barrier); any violation fails the gate.
-#   6. trace_report.py smoke — flow-traced runs with the NDJSON sampler on
-#                      both transports, rendered by tools/trace_report.py.
-#   6b. health_report.py smoke — planted-straggler runs (one rank slowed via
+#   6. report.py trace smoke — flow-traced runs with the NDJSON sampler on
+#                      both transports, rendered by tools/report.py.
+#   6b. report.py health smoke — planted-straggler runs (one rank slowed via
 #                      --slow_rank) with --postmortem_out on both transports;
 #                      the straggler warning, the critical-path records, and
-#                      tools/health_report.py's tables must all name the
+#                      tools/report.py's health tables must all name the
 #                      planted rank.
 #   7. TSan build + ctest -L shmem + test_sim_engine + test_ml_dataset — the
 #                      shared-memory transport suite (real concurrent rank
@@ -169,8 +169,8 @@ else
   fail "malt_run --app=mf --sync=asp --check=full --transport=shmem reported violations"
 fi
 
-# --- 6. trace_report smoke on both transports --------------------------------
-note "trace_report.py smoke (sim + shmem)"
+# --- 6. report.py trace smoke on both transports -----------------------------
+note "report.py trace smoke (sim + shmem)"
 trace_report_smoke() {
   local transport="$1"
   local prefix="/tmp/malt_check_report_${transport}"
@@ -178,7 +178,7 @@ trace_report_smoke() {
       --trace_out="${prefix}_trace.json" --metrics_out="${prefix}_metrics.json" \
       --metrics_interval_ms=20 --metrics_stream="${prefix}_stream.ndjson" \
       > /dev/null \
-    && python3 "$REPO/tools/trace_report.py" --trace "${prefix}_trace.json" \
+    && python3 "$REPO/tools/report.py" --trace "${prefix}_trace.json" \
          --metrics "${prefix}_metrics.json" --stream "${prefix}_stream.ndjson" \
          > "${prefix}_report.txt" \
     && grep -q 'flow summary' "${prefix}_report.txt" \
@@ -186,14 +186,14 @@ trace_report_smoke() {
 }
 for transport in sim shmem; do
   if trace_report_smoke "$transport"; then
-    echo "trace_report.py OK ($transport; /tmp/malt_check_report_${transport}_report.txt)"
+    echo "report.py trace OK ($transport; /tmp/malt_check_report_${transport}_report.txt)"
   else
-    fail "trace_report.py smoke ($transport)"
+    fail "report.py trace smoke ($transport)"
   fi
 done
 
-# --- 6b. health_report smoke: planted straggler + postmortem (both) ----------
-note "health_report.py smoke (planted straggler, sim + shmem)"
+# --- 6b. report.py health smoke: planted straggler + postmortem (both) -------
+note "report.py health smoke (planted straggler, sim + shmem)"
 health_report_smoke() {
   local transport="$1"
   local prefix="/tmp/malt_check_health_${transport}"
@@ -205,16 +205,16 @@ health_report_smoke() {
       > "${prefix}_stdout.txt" \
     && grep -q 'warning: rank 2 straggled' "${prefix}_stdout.txt" \
     && grep -q '"type":"critical_path"' "${prefix}_stream.ndjson" \
-    && python3 "$REPO/tools/health_report.py" --stream "${prefix}_stream.ndjson" \
+    && python3 "$REPO/tools/report.py" --stream "${prefix}_stream.ndjson" \
          --metrics "${prefix}_metrics.json" > "${prefix}_report.txt" \
     && grep -q 'per-epoch critical path' "${prefix}_report.txt" \
     && grep -qE '^2 .*STRAGGLER' "${prefix}_report.txt"
 }
 for transport in sim shmem; do
   if health_report_smoke "$transport"; then
-    echo "health_report.py OK ($transport; /tmp/malt_check_health_${transport}_report.txt)"
+    echo "report.py health OK ($transport; /tmp/malt_check_health_${transport}_report.txt)"
   else
-    fail "health_report.py smoke ($transport)"
+    fail "report.py health smoke ($transport)"
   fi
 done
 

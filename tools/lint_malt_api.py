@@ -21,12 +21,12 @@ Rules:
                   is minted only by EdgeMetricName() in src/telemetry/; a
                   literal "comm.edge." prefix anywhere else means a caller is
                   hand-rolling the name and will drift from the convention
-                  tools/trace_report.py and the Merge() fold rely on.
+                  tools/report.py and the Merge() fold rely on.
   health-name     The rank-health metric namespace ("health.rank.<r>.*" and
                   "health.cluster.*") is minted only by HealthMetricName() in
                   src/telemetry/; a literal "health." metric prefix anywhere
                   else hand-rolls the name and drifts from the watermark
-                  conventions tools/health_report.py relies on.
+                  conventions tools/report.py relies on.
   raw-mutex       std::mutex / std::lock_guard / bare pthread_mutex (and their
                   shared/recursive/unique/scoped kin) outside src/base/ are a
                   violation: concurrent code uses the annotated wrappers in

@@ -106,7 +106,7 @@ void EmitHealth(malt::Malt& malt) {
     const int64_t flagged = health.straggler_epochs(rank);
     if (flagged > 0) {
       std::printf("warning: rank %d straggled in %lld/%lld profiled epochs "
-                  "(see health.rank.%d.* gauges and tools/health_report.py)\n",
+                  "(see health.rank.%d.* gauges and tools/report.py)\n",
                   rank, static_cast<long long>(flagged), static_cast<long long>(epochs), rank);
     }
     if (!malt.rank_survived(rank)) {
