@@ -111,7 +111,7 @@ DstormRates DstormRounds(int ranks, size_t bytes, int iters,
                          TelemetryDomain* telemetry = nullptr,
                          MetricsStreamer* streamer = nullptr, int sample_interval_ms = 0,
                          int warmup = 0, ProtocolChecker* checker = nullptr) {
-  ShmemTransport t(ranks, ShmemOptions{}, telemetry, checker);
+  ShmemTransport t(ranks, telemetry, checker);
   DstormDomain domain(t, ranks, telemetry);
   std::vector<std::unique_ptr<ShmemRankCtx>> ctxs;
   for (int rank = 0; rank < ranks; ++rank) {

@@ -67,11 +67,16 @@ MfRunResult RunDistributedMf(Malt& malt, const MfAppConfig& config) {
         MALT_LOG_S(kWarning) << "rank " << w.rank() << " MF scatter: " << status.ToString();
       }
       w.ChargeSeconds(2e-7 * static_cast<double>(factors.graph().OutEdges(w.rank()).size()));
+      // Under BSP the gather folds this round's objects only: a fast peer may
+      // already have posted its next round's, which belongs to the next
+      // gather (the same bound ModelSync applies).
+      int64_t max_iter = -1;
       if (w.options().sync == SyncMode::kBSP) {
         (void)w.dstorm().Flush();
         MALT_CHECK(w.Barrier().ok());
+        max_iter = batch;
       }
-      const GatherResult r = factors.GatherReplace();  // distributed Hogwild
+      const GatherResult r = factors.GatherReplace(-1, max_iter);  // distributed Hogwild
       w.ChargeFlops(static_cast<double>(r.received) * static_cast<double>(scatter_indices.size()));
       (void)w.monitor().CheckAndRecover();
     };

@@ -2,7 +2,7 @@
 // checking").
 //
 // The hand-rolled lock-free protocols in this tree — the seqlock-striped
-// segment writes, the SPSC completion rings, the spinlock and barrier wait
+// segment writes, the unguarded publish path, the spinlock and barrier wait
 // loops — route every synchronization operation through the thin wrappers in
 // this header instead of using std::atomic directly (the raw-atomic rule in
 // tools/lint_malt_api.py enforces this for src/base/seqlock.h and
@@ -22,7 +22,7 @@
 // until the scheduler commits them (at a release operation of the owning
 // thread, in program order, or earlier at a schedule-chosen commit step in
 // any per-variable-coherent order). That is what lets a systematic explorer
-// drive the real SeqLock / CompletionRing / SpinLock code through every
+// drive the real SeqLock / ShmemTransport / SpinLock code through every
 // interleaving of a small harness, including the store-reordering behaviors
 // a release fence exists to forbid. Threads not registered with a scheduler
 // (including all threads when no harness is active) fall through to the real
@@ -30,9 +30,9 @@
 //
 // MALT_MC_MUTATE names the planted-bug sites for the model checker's
 // mutation self-test (tools/malt_mc --selftest): each site weakens one
-// protocol decision (drop a release fence, skip the seqlock parity bump,
-// publish a ring index relaxed) when the corresponding McMutation is armed.
-// In normal builds the macro is the constant false and the compiler folds
+// protocol decision (end a seqlock write relaxed, skip the seqlock parity
+// bump, drop the unguarded publish fence) when the corresponding McMutation
+// is armed. In normal builds the macro is the constant false and the compiler folds
 // the mutated branch away.
 
 #ifndef SRC_BASE_MC_H_
@@ -54,7 +54,6 @@ enum class McMutation : uint8_t {
   kNone = 0,
   kSeqlockWriteEndRelaxed,    // SeqLock::WriteEnd publishes with a relaxed RMW
   kSeqlockSkipParityBump,     // SeqLock writes never take the sequence odd
-  kRingRelaxedPublish,        // CompletionRing::TryPush publishes tail relaxed
   kShmemPublishFenceDropped,  // GuardedStore's unguarded publish loses its fence
 };
 
@@ -124,7 +123,7 @@ inline bool IsRelease(std::memory_order order) {
 
 // Drop-in std::atomic<T> replacement for the model-checkable protocol state.
 // Restricted to trivially-copyable T of at most 8 bytes (sequence counters,
-// ring indices, flags, cached pointers) so buffered values fit a fixed slot.
+// flags, cached pointers) so buffered values fit a fixed slot.
 template <typename T>
 class atomic {  // NOLINT(readability-identifier-naming) std::atomic look-alike
   static_assert(std::is_trivially_copyable_v<T> && sizeof(T) <= 8,
@@ -339,8 +338,8 @@ inline unsigned char RelaxedByteLoad(const unsigned char* p) {
 }
 
 // Plain (non-atomic) shared cells the protocol publishes via a later release
-// operation — e.g. a completion ring's slot contents. Modeled exactly like
-// relaxed stores (the compiler and CPU are free to delay them just the
+// operation — e.g. a counter handed over by a lock release. Modeled exactly
+// like relaxed stores (the compiler and CPU are free to delay them just the
 // same); must be trivially copyable and small.
 inline constexpr size_t kMaxPlainBytes = 32;
 

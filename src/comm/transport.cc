@@ -1,5 +1,7 @@
 #include "src/comm/transport.h"
 
+#include "src/base/log.h"
+
 namespace malt {
 
 Result<TransportKind> ParseTransportKind(const std::string& s) {
@@ -36,6 +38,97 @@ int64_t TrafficStats::TotalMessages() const {
     total += m.load(std::memory_order_relaxed);
   }
   return total;
+}
+
+Transport::Transport(int nodes, TelemetryDomain* telemetry, ProtocolChecker* checker)
+    : nodes_(nodes),
+      owned_telemetry_(telemetry == nullptr ? std::make_unique<TelemetryDomain>(nodes)
+                                            : nullptr),
+      telemetry_(telemetry == nullptr ? owned_telemetry_.get() : telemetry),
+      owned_checker_(checker == nullptr
+                         ? std::make_unique<ProtocolChecker>(CheckLevel::kOff, nodes)
+                         : nullptr),
+      checker_(checker == nullptr ? owned_checker_.get() : checker),
+      flow_events_(telemetry_->options().flow_events),
+      counters_(static_cast<size_t>(nodes)),
+      edges_(static_cast<size_t>(nodes) * static_cast<size_t>(nodes)),
+      stats_(nodes),
+      cq_(static_cast<size_t>(nodes)) {
+  MALT_CHECK(telemetry_->ranks() >= nodes) << "telemetry domain smaller than transport";
+  for (int node = 0; node < nodes; ++node) {
+    MetricRegistry& reg = telemetry_->rank(node).metrics;
+    NodeCounters& c = counters_[static_cast<size_t>(node)];
+    c.writes_posted = reg.GetCounter("fabric.writes_posted");
+    c.bytes_sent = reg.GetCounter("fabric.bytes_sent");
+    c.bytes_received = reg.GetCounter("fabric.bytes_received");
+    c.completions[static_cast<size_t>(WcStatus::kSuccess)] =
+        reg.GetCounter("fabric.completions.success");
+    c.completions[static_cast<size_t>(WcStatus::kRemoteDead)] =
+        reg.GetCounter("fabric.completions.remote_dead");
+    c.completions[static_cast<size_t>(WcStatus::kUnreachable)] =
+        reg.GetCounter("fabric.completions.unreachable");
+    c.completions[static_cast<size_t>(WcStatus::kInvalidRkey)] =
+        reg.GetCounter("fabric.completions.invalid_rkey");
+    c.write_bytes = reg.GetHistogram("fabric.write_bytes",
+                                     HistogramMetric::Options{0.0, 1.0e6, 64});
+  }
+}
+
+Transport::ResolvedEdge Transport::Edge(int src, int dst) {
+  EdgeCells& cell = edges_[static_cast<size_t>(src) * static_cast<size_t>(nodes_) +
+                           static_cast<size_t>(dst)];
+  Counter* bytes = cell.bytes.load(std::memory_order_acquire);
+  if (bytes == nullptr) {
+    MetricRegistry& reg = telemetry_->rank(dst).metrics;
+    bytes = reg.GetCounter(EdgeMetricName(src, dst, "bytes"));
+    cell.msgs.store(reg.GetCounter(EdgeMetricName(src, dst, "msgs")),
+                    std::memory_order_release);
+    cell.delivery_ns.store(reg.GetHistogram(EdgeMetricName(src, dst, "delivery_ns"),
+                                            EdgeDeliveryHistogramOptions()),
+                           std::memory_order_release);
+    cell.bytes.store(bytes, std::memory_order_release);
+  }
+  return ResolvedEdge{bytes, cell.msgs.load(std::memory_order_acquire),
+                      cell.delivery_ns.load(std::memory_order_acquire)};
+}
+
+void Transport::AccountPost(int src, int dst, size_t bytes) {
+  stats_.Record(src, dst, bytes);
+  NodeCounters& sc = counters_[static_cast<size_t>(src)];
+  sc.writes_posted->Add(1);
+  sc.bytes_sent->Add(static_cast<int64_t>(bytes));
+  sc.write_bytes->Observe(static_cast<double>(bytes));
+  counters_[static_cast<size_t>(dst)].bytes_received->Add(static_cast<int64_t>(bytes));
+  const ResolvedEdge edge = Edge(src, dst);
+  edge.bytes->Add(static_cast<int64_t>(bytes));
+  edge.msgs->Add(1);
+}
+
+void Transport::Complete(int src, const Completion& c) {
+  cq_[static_cast<size_t>(src)].push_back(c);
+  counters_[static_cast<size_t>(src)].completions[static_cast<size_t>(c.status)]->Add(1);
+}
+
+void Transport::RecordApply(int src, int dst, const WireTrace& trace, SimTime now) {
+  if (!flow_events_) {
+    return;
+  }
+  TraceRing& ring = telemetry_->rank(src).trace;
+  ring.EmitPair({"update.apply", 'X', now, 100, nullptr, 0, 0, dst},
+                {kFlowUpdateName, 't', now, 0, "iter", static_cast<int64_t>(trace.iter),
+                 trace.flow_id, dst});
+  Edge(src, dst).delivery_ns->Observe(static_cast<double>(now - trace.sent_at));
+}
+
+int Transport::PollCq(int node, std::span<Completion> out) {
+  std::deque<Completion>& queue = cq_[static_cast<size_t>(node)];
+  int produced = 0;
+  while (produced < static_cast<int>(out.size()) && !queue.empty()) {
+    out[static_cast<size_t>(produced)] = queue.front();
+    queue.pop_front();
+    ++produced;
+  }
+  return produced;
 }
 
 }  // namespace malt

@@ -22,11 +22,14 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <functional>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "src/base/mc.h"
 #include "src/base/status.h"
 #include "src/base/time_units.h"
 #include "src/check/check.h"
@@ -113,21 +116,37 @@ class TrafficStats {
 
 // The one-sided-write subset of verbs that dstorm needs. All `node` / `src`
 // arguments are ranks in [0, nodes()).
+//
+// The base class holds what both backends account the same way: the
+// telemetry domain and protocol checker (or owned fallbacks), the per-node
+// "fabric.*" counters, the lazily resolved "comm.edge.<src>-<dst>.*" cells,
+// the TrafficStats matrix and one completion FIFO per node. A backend
+// implements region storage and apply, timing and the send queue, liveness
+// and wr_id numbering, and reports each post through AccountPost, each
+// traced apply through RecordApply and each completion through Complete.
+//
+// A node's CQ is a plain FIFO, so its completions must be pushed and polled
+// by one thread at a time: the simulator serializes everything on its
+// engine, and the shmem backend completes inline on the poster's thread.
 class Transport {
  public:
   virtual ~Transport() = default;
+  Transport(const Transport&) = delete;
+  Transport& operator=(const Transport&) = delete;
 
   virtual TransportKind kind() const = 0;
-  virtual int nodes() const = 0;
+  int nodes() const { return nodes_; }
 
   // Transport-level clock: virtual nanoseconds for the simulator, wall-clock
   // nanoseconds since transport construction for shmem.
   virtual SimTime now() const = 0;
 
-  virtual TelemetryDomain& telemetry() = 0;
-  virtual ProtocolChecker& checker() = 0;
-  virtual TrafficStats& stats() = 0;
-  virtual const TrafficStats& stats() const = 0;
+  TelemetryDomain& telemetry() { return *telemetry_; }
+  const TelemetryDomain& telemetry() const { return *telemetry_; }
+  ProtocolChecker& checker() { return *checker_; }
+  const ProtocolChecker& checker() const { return *checker_; }
+  TrafficStats& stats() { return stats_; }
+  const TrafficStats& stats() const { return stats_; }
 
   // Registers `bytes` of transport-owned memory on `node`; the region is
   // remotely writable by any peer holding the handle. `guard_stripe_bytes`
@@ -179,19 +198,74 @@ class Transport {
 
   // Drains up to `out.size()` completions pending on `node`'s CQ. Returns
   // the number written.
-  virtual int PollCq(int node, std::span<Completion> out) = 0;
-
-  // True if the node's CQ is non-empty (for wait predicates).
-  virtual bool CqNonEmpty(int node) const = 0;
+  int PollCq(int node, std::span<Completion> out);
 
   // Liveness, as observed by the transport layer.
   virtual bool NodeAlive(int node) const = 0;
 
-  // Partition injection: when false, writes between a and b fail (both
-  // ways). The simulated fabric models this; backends without a network to
-  // partition (shmem) return a FailedPrecondition error instead.
-  [[nodiscard]] virtual Status SetReachable(int a, int b, bool reachable) = 0;
-  virtual bool Reachable(int a, int b) const = 0;
+ protected:
+  // When `telemetry` is null the transport creates a private domain, so
+  // standalone construction (tests, microbenches) still gets counters; the
+  // runtime passes its own domain so all layers of a rank share registries.
+  // Likewise for `checker`: when null, a private off-level ProtocolChecker
+  // is created, so instrumented paths never null-check.
+  Transport(int nodes, TelemetryDomain* telemetry, ProtocolChecker* checker);
+
+  // Accounts one posted write of `bytes` from `src` to `dst`: TrafficStats,
+  // both nodes' fabric.* cells and the (src→dst) edge cells. Callable from
+  // any sender's thread; every cell is a relaxed atomic.
+  void AccountPost(int src, int dst, size_t bytes);
+
+  // Pushes `c` onto `src`'s CQ and counts its status.
+  void Complete(int src, const Completion& c);
+
+  // The receiver-side apply of a traced write (call only when
+  // trace.enabled()): an "update.apply" slice for the 't' flow event to
+  // bind to, plus the delivery latency (now − sent_at) on the edge's
+  // histogram. The events go into the SENDER's ring tagged with the
+  // receiver's track id, so every ring stays single-writer and the
+  // per-write path never contends a lock. No-op when flow events are off.
+  void RecordApply(int src, int dst, const WireTrace& trace, SimTime now);
+
+ private:
+  // Per-node cells, resolved once at construction (hot-path bumps are
+  // relaxed atomic adds; see src/telemetry/metrics.h).
+  struct NodeCounters {
+    Counter* writes_posted = nullptr;
+    Counter* bytes_sent = nullptr;
+    Counter* bytes_received = nullptr;
+    Counter* completions[4] = {};  // indexed by WcStatus
+    HistogramMetric* write_bytes = nullptr;
+  };
+
+  // Per-(src→dst) edge cells under "comm.edge.<src>-<dst>.*" in the
+  // *receiver's* registry. Lazily resolved, so only edges that carry
+  // traffic allocate metrics; the cache slots are atomic pointers because
+  // several sender threads may race the first resolution for a shared
+  // destination (GetCounter is idempotent, so both racers store the same
+  // pointer).
+  struct EdgeCells {
+    mc::atomic<Counter*> bytes{nullptr};
+    mc::atomic<Counter*> msgs{nullptr};
+    mc::atomic<HistogramMetric*> delivery_ns{nullptr};
+  };
+  struct ResolvedEdge {
+    Counter* bytes;
+    Counter* msgs;
+    HistogramMetric* delivery_ns;
+  };
+  ResolvedEdge Edge(int src, int dst);
+
+  const int nodes_;
+  std::unique_ptr<TelemetryDomain> owned_telemetry_;  // set when none was passed
+  TelemetryDomain* telemetry_;
+  std::unique_ptr<ProtocolChecker> owned_checker_;  // off-level, set when none passed
+  ProtocolChecker* checker_;
+  const bool flow_events_;                  // TelemetryOptions::flow_events, cached
+  std::vector<NodeCounters> counters_;      // [node]
+  std::vector<EdgeCells> edges_;            // [src*nodes+dst], lazily resolved
+  TrafficStats stats_;
+  std::vector<std::deque<Completion>> cq_;  // [node]
 };
 
 // How a rank's code observes time, charges modeled compute, blocks, and

@@ -320,8 +320,7 @@ Malt::Malt(MaltOptions options)
     // ledger (lock-striped, relaxed assertions) before the transport sees
     // any traffic.
     checker_.SetConcurrent(true);
-    shmem_ = std::make_unique<ShmemTransport>(options_.ranks, ShmemOptions{}, &telemetry_,
-                                              &checker_);
+    shmem_ = std::make_unique<ShmemTransport>(options_.ranks, &telemetry_, &checker_);
     transport_ = shmem_.get();
   }
   domain_ = std::make_unique<DstormDomain>(*transport_, options_.ranks, &telemetry_);

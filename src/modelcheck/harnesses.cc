@@ -93,62 +93,6 @@ class SeqlockHarness : public Harness {
   uint64_t data_[kWords];
 };
 
-// --- SPSC completion ring ---------------------------------------------------
-//
-// One producer pushes three completions through a capacity-2 CompletionRing
-// (so the run crosses full, empty, and index-wraparound states); one
-// consumer pops them. FIFO order and intact contents are the invariant.
-// kRingRelaxedPublish removes the release ordering on the tail publish, so
-// the scheduler may commit the new tail before the slot contents — the
-// consumer then pops a default-initialized Completion (wr_id 0).
-class RingHarness : public Harness {
- public:
-  RingHarness() : ring_(kCapacity) {}
-
-  std::vector<std::function<void()>> Threads() override {
-    return {
-        [this] {
-          for (uint64_t i = 1; i <= kItems; ++i) {
-            Completion c;
-            c.wr_id = i;
-            c.dst = static_cast<int>(10 + i);
-            c.status = WcStatus::kSuccess;
-            while (!ring_.TryPush(c)) {
-              MALT_MC_SPIN_YIELD();  // full: wait for the consumer
-            }
-          }
-        },
-        [this] {
-          for (uint64_t i = 1; i <= kItems; ++i) {
-            Completion c;
-            while (!ring_.TryPop(&c)) {
-              MALT_MC_SPIN_YIELD();  // empty: wait for the producer
-            }
-            if (c.wr_id != i || c.dst != static_cast<int>(10 + i) ||
-                c.status != WcStatus::kSuccess) {
-              Scheduler::Fail("SPSC ring popped corrupt completion: expected wr_id " +
-                              std::to_string(i) + ", got wr_id " + std::to_string(c.wr_id) +
-                              " dst " + std::to_string(c.dst));
-            }
-          }
-        },
-    };
-  }
-
-  std::string FinalCheck() override {
-    Completion c;
-    if (ring_.TryPop(&c)) {
-      return "ring not empty after all items consumed";
-    }
-    return "";
-  }
-
- private:
-  static constexpr size_t kCapacity = 2;
-  static constexpr uint64_t kItems = 3;
-  CompletionRing ring_;
-};
-
 // --- spinlock mutual exclusion ----------------------------------------------
 //
 // Two threads increment a plain (buffered-store) counter under the real
@@ -405,8 +349,7 @@ class DstormSlotHarness : public Harness {
 
   std::unique_ptr<ShmemTransport> MakeTransport() {
     checker_.SetConcurrent(true);
-    return std::make_unique<ShmemTransport>(/*nodes=*/2, ShmemOptions{},
-                                            /*telemetry=*/nullptr, &checker_);
+    return std::make_unique<ShmemTransport>(/*nodes=*/2, /*telemetry=*/nullptr, &checker_);
   }
 
   ProtocolChecker checker_;
@@ -423,8 +366,6 @@ const std::vector<HarnessInfo> kHarnesses = {
      /*dfs_feasible=*/true, /*expected_steps=*/96},
     {"seqlock_overflow", "SeqLock: publish across the 2^64 stamp wraparound", 2,
      /*dfs_feasible=*/true, /*expected_steps=*/64},
-    {"ring_1p1c", "SPSC completion ring: 3 items through capacity 2 (full/empty/wrap)", 2,
-     /*dfs_feasible=*/true, /*expected_steps=*/128},
     {"spinlock_2t", "SpinLock: 2 contending increments, mutual exclusion + handoff", 2,
      /*dfs_feasible=*/true, /*expected_steps=*/96},
     {"shmem_publish", "ShmemTransport unguarded region: payload-then-flag publish", 2,
@@ -458,9 +399,6 @@ HarnessFactory MakeHarness(const std::string& name) {
   }
   if (name == "seqlock_overflow") {
     return [] { return std::make_unique<SeqlockHarness>(1, kOverflowBase); };
-  }
-  if (name == "ring_1p1c") {
-    return [] { return std::make_unique<RingHarness>(); };
   }
   if (name == "spinlock_2t") {
     return [] { return std::make_unique<SpinLockHarness>(); };

@@ -25,7 +25,7 @@
 // loads, so acquire ordering always holds. The model is therefore weaker
 // than x86-TSO on the store side and stronger than C++11 on the load side —
 // sound for the targeted bug classes (publish-before-init, torn reads, lost
-// ring entries); see DESIGN.md §11 for the full argument.
+// updates); see DESIGN.md §11 for the full argument.
 //
 // Blocking. MALT_MC_SPIN_YIELD marks the calling thread BLOCKED until the
 // global commit epoch advances (some store becomes visible); a spin loop

@@ -15,9 +15,10 @@
 //      atomics (AtomicStoreBytes / AtomicLoadBytes), so the races the
 //      protocol tolerates are data-race-free — the shmem suite runs clean
 //      under ThreadSanitizer.
-//   3. Lock-free completion queues: each rank has a fixed-capacity SPSC ring
-//      of completions. Writes apply inline, so a rank's own post is the only
-//      producer and its own poll the only consumer.
+//   3. Inline completions: a write applies and completes on the sender's
+//      thread before PostWrite returns, so each rank's CQ (Transport's plain
+//      per-node FIFO) is pushed by its own posts and drained by its own
+//      polls, never touched by another thread (the TSan stage checks this).
 //
 // The protocol checker (src/check/check.h) runs here too: when a checker is
 // bound at construction, every one-sided write is bracketed with
@@ -28,7 +29,8 @@
 //
 // What this backend deliberately does NOT model (see DESIGN.md §10): latency
 // or bandwidth shaping (writes land as fast as memcpy goes), network
-// partitions (SetReachable returns a FailedPrecondition error), and kill
+// partitions (there is no network; only the simulated Fabric injects
+// them), and kill
 // scheduling in virtual time — fail-stop is a cooperative cancellation flag
 // checked at the rank's next blocking point, with the node marked dead
 // immediately so peers observe error completions and failed probes just as
@@ -58,55 +60,17 @@
 
 namespace malt {
 
-struct ShmemOptions {
-  // Completion-ring capacity per rank (power of two). Writes complete
-  // inline, so the ring only needs to cover completions between two
-  // PollCq calls; overflow drops the oldest and counts it.
-  size_t cq_capacity = 4096;
-};
-
-// Fixed-capacity single-producer/single-consumer completion ring. For this
-// transport both ends are the owning rank's thread (posts produce, polls
-// consume), but the implementation is a proper acquire/release SPSC ring so
-// the invariant is structural, not scheduling luck. The indices go through
-// the mc:: shim (src/base/mc.h), so the model checker's SPSC harness drives
-// exactly this code through every 1p×1c interleaving (DESIGN.md §11).
-class CompletionRing {
- public:
-  explicit CompletionRing(size_t capacity_pow2);
-
-  bool TryPush(const Completion& c);
-  bool TryPop(Completion* out);
-  bool Empty() const;
-  int64_t dropped() const { return dropped_.load(std::memory_order_relaxed); }
-  void CountDrop() { dropped_.fetch_add(1, std::memory_order_relaxed); }
-
- private:
-  std::vector<Completion> buf_;
-  size_t mask_;
-  mc::atomic<uint64_t> head_{0};  // next pop
-  mc::atomic<uint64_t> tail_{0};  // next push
-  mc::atomic<int64_t> dropped_{0};
-};
-
 class ShmemTransport : public Transport {
  public:
   // `checker` (optional) validates the one-sided write protocol live; it
   // must be in concurrent mode (ProtocolChecker::SetConcurrent) and outlive
   // the transport. Without one, an owned off-level checker answers queries.
-  explicit ShmemTransport(int nodes, ShmemOptions options = ShmemOptions{},
-                          TelemetryDomain* telemetry = nullptr,
+  explicit ShmemTransport(int nodes, TelemetryDomain* telemetry = nullptr,
                           ProtocolChecker* checker = nullptr);
 
   TransportKind kind() const override { return TransportKind::kShmem; }
-  int nodes() const override { return nodes_; }
   SimTime now() const override { return clock_.NowNs(); }
   const Clock& clock() const { return clock_; }
-
-  TelemetryDomain& telemetry() override { return *telemetry_; }
-  ProtocolChecker& checker() override { return *checker_; }
-  TrafficStats& stats() override { return stats_; }
-  const TrafficStats& stats() const override { return stats_; }
 
   MrHandle RegisterMemory(int node, size_t bytes, size_t guard_stripe_bytes) override;
   using Transport::RegisterMemory;
@@ -116,10 +80,9 @@ class ShmemTransport : public Transport {
   [[nodiscard]] bool Read(MrHandle mr, size_t offset, std::span<std::byte> out) const override;
   void Write(MrHandle mr, size_t offset, std::span<const std::byte> data) override;
 
-  // When `trace` is enabled, the inline apply emits the receiver-side apply
-  // slice + 't' flow event (into the *sender's* ring tagged with the
-  // receiver's export track, keeping every ring single-writer) and observes
-  // the wall-clock delivery latency on the (src→dst) edge.
+  // Applies inline on the sender's thread and completes onto `src`'s CQ
+  // before returning. When `trace` is enabled, the apply is recorded
+  // (Transport::RecordApply) at the wall-clock instant it landed.
   [[nodiscard]] Result<uint64_t> PostWrite(int src, SimTime now, MrHandle dst_mr, size_t dst_offset,
                              std::span<const std::byte> data, const WireTrace& trace) override;
   using Transport::PostWrite;
@@ -132,16 +95,9 @@ class ShmemTransport : public Transport {
     return 0;
   }
 
-  int PollCq(int node, std::span<Completion> out) override;
-  bool CqNonEmpty(int node) const override;
-
   bool NodeAlive(int node) const override {
     return alive_[static_cast<size_t>(node)].load(std::memory_order_acquire);
   }
-
-  // Partition injection needs a network to partition; fails cleanly here.
-  [[nodiscard]] Status SetReachable(int a, int b, bool reachable) override;
-  bool Reachable(int a, int b) const override;
 
   // Region-index capacity per node: registering more regions on one node
   // aborts. dstorm uses two fixed regions plus one per segment.
@@ -163,51 +119,12 @@ class ShmemTransport : public Transport {
     mc::atomic<bool> registered{true};
   };
 
-  struct NodeCounters {
-    Counter* writes_posted = nullptr;
-    Counter* bytes_sent = nullptr;
-    Counter* bytes_received = nullptr;
-    Counter* completions_success = nullptr;
-    Counter* completions_remote_dead = nullptr;
-    Counter* completions_invalid_rkey = nullptr;
-    HistogramMetric* write_bytes = nullptr;
-  };
-
-  // Per-(src→dst) edge cells under "comm.edge.<src>-<dst>.*" in the
-  // *receiver's* registry. Lazily resolved; the cache slots are atomic
-  // pointers because several sender threads may race the first resolution
-  // for a shared destination (GetCounter is idempotent, so both racers
-  // store the same pointer).
-  struct EdgeCells {
-    mc::atomic<Counter*> bytes{nullptr};
-    mc::atomic<Counter*> msgs{nullptr};
-    mc::atomic<HistogramMetric*> delivery_ns{nullptr};
-  };
-  struct ResolvedEdge {
-    Counter* bytes;
-    Counter* msgs;
-    HistogramMetric* delivery_ns;
-  };
-
   // Lock-free region lookup: one acquire load from the region index; null
   // when the handle names nothing.
   Region* FindRegion(MrHandle mr) const;
   void GuardedStore(Region& region, size_t offset, std::span<const std::byte> data);
-  void PushCompletion(int src, const Completion& c);
-  void AccountPost(int src, int dst, size_t bytes);
-  ResolvedEdge Edge(int src, int dst);
 
-  const int nodes_;
-  const ShmemOptions options_;
   WallClock clock_;
-  std::unique_ptr<TelemetryDomain> owned_telemetry_;
-  TelemetryDomain* telemetry_;
-  std::unique_ptr<ProtocolChecker> owned_checker_;  // off-level fallback
-  ProtocolChecker* checker_;
-  const bool flow_events_;                    // TelemetryOptions::flow_events, cached
-  std::vector<NodeCounters> counters_;        // [node]
-  std::vector<EdgeCells> edges_;              // [src*nodes+dst], lazily resolved
-  TrafficStats stats_;
 
   // Registration is rare (collective segment creation before training) and
   // lookup is hot. Ownership, registration and MarkDead's sweep stay under
@@ -221,7 +138,6 @@ class ShmemTransport : public Transport {
       MALT_GUARDED_BY(region_mu_);  // [node][rkey]
   std::vector<mc::atomic<Region*>> region_index_;  // [node * kMaxRegionsPerNode + rkey]
 
-  std::deque<CompletionRing> cq_;          // [node]; deque: ring is immovable
   std::vector<uint64_t> next_wr_id_;       // [node]; only node's thread posts
   std::deque<mc::atomic<bool>> alive_;     // [node]
 };

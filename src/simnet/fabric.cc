@@ -9,69 +9,19 @@ namespace malt {
 
 Fabric::Fabric(Engine& engine, int nodes, FabricOptions options, TelemetryDomain* telemetry,
                ProtocolChecker* checker)
-    : engine_(engine),
-      nodes_(nodes),
+    : Transport(nodes, telemetry, checker),
+      engine_(engine),
       options_(options),
-      owned_telemetry_(telemetry == nullptr ? std::make_unique<TelemetryDomain>(nodes)
-                                            : nullptr),
-      telemetry_(telemetry == nullptr ? owned_telemetry_.get() : telemetry),
-      owned_checker_(checker == nullptr
-                         ? std::make_unique<ProtocolChecker>(CheckLevel::kOff, nodes)
-                         : nullptr),
-      checker_(checker == nullptr ? owned_checker_.get() : checker),
-      stats_(nodes),
       regions_(static_cast<size_t>(nodes)),
-      cq_(static_cast<size_t>(nodes)),
       outstanding_(static_cast<size_t>(nodes), 0),
       nic_busy_until_(static_cast<size_t>(nodes), 0),
       alive_(static_cast<size_t>(nodes), true),
       unreachable_(static_cast<size_t>(nodes) * static_cast<size_t>(nodes), false) {
-  MALT_CHECK(telemetry_->ranks() >= nodes) << "telemetry domain smaller than fabric";
-  counters_.resize(static_cast<size_t>(nodes));
-  for (int node = 0; node < nodes; ++node) {
-    MetricRegistry& reg = telemetry_->rank(node).metrics;
-    NodeCounters& c = counters_[static_cast<size_t>(node)];
-    c.writes_posted = reg.GetCounter("fabric.writes_posted");
-    c.bytes_sent = reg.GetCounter("fabric.bytes_sent");
-    c.bytes_received = reg.GetCounter("fabric.bytes_received");
-    c.completions_success = reg.GetCounter("fabric.completions.success");
-    c.completions_remote_dead = reg.GetCounter("fabric.completions.remote_dead");
-    c.completions_unreachable = reg.GetCounter("fabric.completions.unreachable");
-    c.completions_invalid_rkey = reg.GetCounter("fabric.completions.invalid_rkey");
-    c.write_bytes = reg.GetHistogram("fabric.write_bytes",
-                                     HistogramMetric::Options{0.0, 1.0e6, 64});
-  }
-  edges_.resize(static_cast<size_t>(nodes) * static_cast<size_t>(nodes));
   engine_.AddKillHook([this](int pid) { OnKill(pid); });
 }
 
-Fabric::EdgeCells& Fabric::Edge(int src, int dst) {
-  EdgeCells& cell = edges_[static_cast<size_t>(src) * static_cast<size_t>(nodes_) +
-                           static_cast<size_t>(dst)];
-  if (cell.bytes == nullptr) {
-    MetricRegistry& reg = telemetry_->rank(dst).metrics;
-    cell.bytes = reg.GetCounter(EdgeMetricName(src, dst, "bytes"));
-    cell.msgs = reg.GetCounter(EdgeMetricName(src, dst, "msgs"));
-    cell.delivery_ns =
-        reg.GetHistogram(EdgeMetricName(src, dst, "delivery_ns"), EdgeDeliveryHistogramOptions());
-  }
-  return cell;
-}
-
-void Fabric::AccountPost(int src, int dst, size_t bytes) {
-  stats_.Record(src, dst, bytes);
-  NodeCounters& sc = counters_[static_cast<size_t>(src)];
-  sc.writes_posted->Add(1);
-  sc.bytes_sent->Add(static_cast<int64_t>(bytes));
-  sc.write_bytes->Observe(static_cast<double>(bytes));
-  counters_[static_cast<size_t>(dst)].bytes_received->Add(static_cast<int64_t>(bytes));
-  EdgeCells& edge = Edge(src, dst);
-  edge.bytes->Add(static_cast<int64_t>(bytes));
-  edge.msgs->Add(1);
-}
-
 void Fabric::OnKill(int pid) {
-  if (pid < 0 || pid >= nodes_) {
+  if (pid < 0 || pid >= nodes()) {
     return;  // auxiliary process (not a fabric node)
   }
   alive_[static_cast<size_t>(pid)] = false;
@@ -85,7 +35,7 @@ void Fabric::OnKill(int pid) {
 
 MrHandle Fabric::RegisterMemory(int node, size_t bytes, size_t guard_stripe_bytes) {
   (void)guard_stripe_bytes;  // concurrency hint; meaningless under event serialization
-  MALT_CHECK(node >= 0 && node < nodes_) << "bad node " << node;
+  MALT_CHECK(node >= 0 && node < nodes()) << "bad node " << node;
   auto region = std::make_unique<Region>();
   region->bytes.resize(bytes);
   auto& list = regions_[static_cast<size_t>(node)];
@@ -127,16 +77,14 @@ bool Fabric::HasSendRoom(int node) const {
 
 int Fabric::OutstandingWrites(int node) const { return outstanding_[static_cast<size_t>(node)]; }
 
-Status Fabric::SetReachable(int a, int b, bool reachable) {
-  unreachable_[static_cast<size_t>(a) * static_cast<size_t>(nodes_) + static_cast<size_t>(b)] =
-      !reachable;
-  unreachable_[static_cast<size_t>(b) * static_cast<size_t>(nodes_) + static_cast<size_t>(a)] =
-      !reachable;
-  return OkStatus();
+void Fabric::SetReachable(int a, int b, bool reachable) {
+  const auto n = static_cast<size_t>(nodes());
+  unreachable_[static_cast<size_t>(a) * n + static_cast<size_t>(b)] = !reachable;
+  unreachable_[static_cast<size_t>(b) * n + static_cast<size_t>(a)] = !reachable;
 }
 
 bool Fabric::Reachable(int a, int b) const {
-  return !unreachable_[static_cast<size_t>(a) * static_cast<size_t>(nodes_) +
+  return !unreachable_[static_cast<size_t>(a) * static_cast<size_t>(nodes()) +
                        static_cast<size_t>(b)];
 }
 
@@ -145,29 +93,14 @@ void Fabric::DeliverCompletion(int src, uint64_t wr_id, int dst, WcStatus status
     if (!alive_[static_cast<size_t>(src)]) {
       return;  // sender died meanwhile; nobody polls this CQ
     }
-    cq_[static_cast<size_t>(src)].push_back(Completion{wr_id, dst, status});
     outstanding_[static_cast<size_t>(src)] -= 1;
-    NodeCounters& sc = counters_[static_cast<size_t>(src)];
-    switch (status) {
-      case WcStatus::kSuccess:
-        sc.completions_success->Add(1);
-        break;
-      case WcStatus::kRemoteDead:
-        sc.completions_remote_dead->Add(1);
-        break;
-      case WcStatus::kUnreachable:
-        sc.completions_unreachable->Add(1);
-        break;
-      case WcStatus::kInvalidRkey:
-        sc.completions_invalid_rkey->Add(1);
-        break;
-    }
+    Complete(src, Completion{wr_id, dst, status});
   });
 }
 
 Result<uint64_t> Fabric::PostWrite(int src, SimTime now, MrHandle dst_mr, size_t dst_offset,
                                    std::span<const std::byte> data, const WireTrace& trace) {
-  MALT_CHECK(src >= 0 && src < nodes_) << "bad src " << src;
+  MALT_CHECK(src >= 0 && src < nodes()) << "bad src " << src;
   if (!dst_mr.valid()) {
     return InvalidArgumentError("invalid destination memory handle");
   }
@@ -221,21 +154,11 @@ Result<uint64_t> Fabric::PostWrite(int src, SimTime now, MrHandle dst_mr, size_t
       if (!ok) {
         status = WcStatus::kInvalidRkey;
       } else {
-        if (trace.enabled() && telemetry_->options().flow_events) {
-          // Receiver-side apply: a small slice on the receiver's track for
-          // the 't' flow event to bind to, plus the virtual delivery latency
-          // on the edge's histogram.
-          const SimTime apply_now = engine_.now();
-          // Same single-writer convention as the shmem transport: apply
-          // events go into the sender's ring with the receiver's track id.
-          TraceRing& ring = telemetry_->rank(src).trace;
-          ring.EmitPair({"update.apply", 'X', apply_now, 100, nullptr, 0, 0, dst},
-                        {kFlowUpdateName, 't', apply_now, 0, "iter",
-                         static_cast<int64_t>(trace.iter), trace.flow_id, dst});
-          Edge(src, dst).delivery_ns->Observe(static_cast<double>(apply_now - trace.sent_at));
+        if (trace.enabled()) {
+          RecordApply(src, dst, trace, engine_.now());
         }
         if (split) {
-          checker_->OnRemoteWriteApply(src, dst, dst_mr.rkey, dst_offset, *payload,
+          checker().OnRemoteWriteApply(src, dst, dst_mr.rkey, dst_offset, *payload,
                                        ProtocolChecker::ApplyPhase::kFirstHalf, engine_.now());
           // Second half lands one latency later — a reader in between
           // observes a torn write, which the dstorm sequence stamps detect.
@@ -243,13 +166,13 @@ Result<uint64_t> Fabric::PostWrite(int src, SimTime now, MrHandle dst_mr, size_t
               second_half_at,
               [this, src, dst, dst_mr, dst_offset, apply_payload, half, payload] {
                 if (apply_payload(half, payload->size())) {
-                  checker_->OnRemoteWriteApply(src, dst, dst_mr.rkey, dst_offset, *payload,
+                  checker().OnRemoteWriteApply(src, dst, dst_mr.rkey, dst_offset, *payload,
                                                ProtocolChecker::ApplyPhase::kSecondHalf,
                                                engine_.now());
                 }
               });
         } else {
-          checker_->OnRemoteWriteApply(src, dst, dst_mr.rkey, dst_offset, *payload,
+          checker().OnRemoteWriteApply(src, dst, dst_mr.rkey, dst_offset, *payload,
                                        ProtocolChecker::ApplyPhase::kFull, engine_.now());
         }
       }
@@ -257,17 +180,6 @@ Result<uint64_t> Fabric::PostWrite(int src, SimTime now, MrHandle dst_mr, size_t
     DeliverCompletion(src, wr_id, dst, status, ack);
   });
   return wr_id;
-}
-
-int Fabric::PollCq(int node, std::span<Completion> out) {
-  auto& queue = cq_[static_cast<size_t>(node)];
-  int produced = 0;
-  while (produced < static_cast<int>(out.size()) && !queue.empty()) {
-    out[static_cast<size_t>(produced)] = queue.front();
-    queue.pop_front();
-    ++produced;
-  }
-  return produced;
 }
 
 }  // namespace malt

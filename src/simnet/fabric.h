@@ -24,7 +24,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <span>
 #include <string>
@@ -63,24 +62,13 @@ struct FabricOptions {
 
 class Fabric : public Transport {
  public:
-  // When `telemetry` is null the fabric creates a private domain, so
-  // standalone construction (tests, microbenches) still gets counters; the
-  // runtime passes its own domain so all layers of a rank share registries.
-  // Likewise for `checker`: when null, a private off-level ProtocolChecker is
-  // created, so instrumented paths never null-check (and cost one branch).
+  // `telemetry` and `checker` may be null; see Transport's constructor.
   Fabric(Engine& engine, int nodes, FabricOptions options,
          TelemetryDomain* telemetry = nullptr, ProtocolChecker* checker = nullptr);
 
   TransportKind kind() const override { return TransportKind::kSim; }
-  int nodes() const override { return nodes_; }
   SimTime now() const override { return engine_.now(); }
   const FabricOptions& options() const { return options_; }
-  TrafficStats& stats() override { return stats_; }
-  const TrafficStats& stats() const override { return stats_; }
-  TelemetryDomain& telemetry() override { return *telemetry_; }
-  const TelemetryDomain& telemetry() const { return *telemetry_; }
-  ProtocolChecker& checker() override { return *checker_; }
-  const ProtocolChecker& checker() const { return *checker_; }
 
   // Registers `bytes` of fabric-owned memory on `node`; the region is
   // remotely writable by any peer holding the handle. The stripe hint is for
@@ -104,9 +92,9 @@ class Fabric : public Transport {
   // from process `src` at virtual time `now`. Returns the work-request id, or
   // an error if the send queue is full (caller should WaitUntil HasSendRoom)
   // or arguments are invalid. The payload is snapshotted immediately. When
-  // `trace` is enabled, the arrival event emits the receiver-side apply
-  // slice + 't' flow event and observes the virtual delivery latency on the
-  // (src→dst) edge.
+  // `trace` is enabled, the arrival event records the receiver-side apply
+  // (Transport::RecordApply) at the virtual arrival instant. The completion
+  // reaches `src`'s CQ one ack-latency after arrival.
   [[nodiscard]] Result<uint64_t> PostWrite(int src, SimTime now, MrHandle dst_mr, size_t dst_offset,
                              std::span<const std::byte> data, const WireTrace& trace) override;
   using Transport::PostWrite;
@@ -115,20 +103,12 @@ class Fabric : public Transport {
   bool HasSendRoom(int node) const override;
   int OutstandingWrites(int node) const override;
 
-  // Drains up to `out.size()` completions currently pending on `node`'s CQ
-  // (i.e. those whose ack events the engine has already applied). Returns
-  // the number written.
-  int PollCq(int node, std::span<Completion> out) override;
-
-  // True if the node's CQ is non-empty (for WaitUntil predicates).
-  bool CqNonEmpty(int node) const override { return !cq_[static_cast<size_t>(node)].empty(); }
-
   // Liveness, as observed by the transport layer.
   bool NodeAlive(int node) const override { return alive_[static_cast<size_t>(node)]; }
 
   // Partition injection: when false, writes between a and b fail (both ways).
-  [[nodiscard]] Status SetReachable(int a, int b, bool reachable) override;
-  bool Reachable(int a, int b) const override;
+  void SetReachable(int a, int b, bool reachable);
+  bool Reachable(int a, int b) const;
 
  private:
   struct Region {
@@ -136,45 +116,12 @@ class Fabric : public Transport {
     bool registered = true;
   };
 
-  // Per-node counter cells, resolved once at construction (hot-path bumps
-  // are relaxed atomic adds; see src/telemetry/metrics.h).
-  struct NodeCounters {
-    Counter* writes_posted = nullptr;
-    Counter* bytes_sent = nullptr;
-    Counter* bytes_received = nullptr;
-    Counter* completions_success = nullptr;
-    Counter* completions_remote_dead = nullptr;
-    Counter* completions_unreachable = nullptr;
-    Counter* completions_invalid_rkey = nullptr;
-    HistogramMetric* write_bytes = nullptr;
-  };
-
-  // Per-(src→dst) edge cells, lazily registered in the *receiver's* registry
-  // under "comm.edge.<src>-<dst>.*" (see EdgeMetricName in metrics.h); only
-  // edges that actually carry traffic allocate metrics.
-  struct EdgeCells {
-    Counter* bytes = nullptr;
-    Counter* msgs = nullptr;
-    HistogramMetric* delivery_ns = nullptr;
-  };
-
   void OnKill(int pid);
   void DeliverCompletion(int src, uint64_t wr_id, int dst, WcStatus status, SimTime when);
-  void AccountPost(int src, int dst, size_t bytes);
-  EdgeCells& Edge(int src, int dst);
 
   Engine& engine_;
-  const int nodes_;
   const FabricOptions options_;
-  std::unique_ptr<TelemetryDomain> owned_telemetry_;  // set when none was passed
-  TelemetryDomain* telemetry_;
-  std::unique_ptr<ProtocolChecker> owned_checker_;  // off-level, set when none passed
-  ProtocolChecker* checker_;
-  std::vector<NodeCounters> counters_;  // [node]
-  std::vector<EdgeCells> edges_;        // [src*nodes+dst], lazily resolved
-  TrafficStats stats_;
   std::vector<std::vector<std::unique_ptr<Region>>> regions_;  // [node][rkey]
-  std::vector<std::deque<Completion>> cq_;                     // [node]
   std::vector<int> outstanding_;                               // [node]
   std::vector<SimTime> nic_busy_until_;                        // [node]
   std::vector<bool> alive_;                                    // [node]

@@ -131,7 +131,7 @@ void AppendChromeTrace(std::string* out, const std::vector<const TraceRing*>& ri
 
   out->append("[\n");
   bool first = true;
-  char buf[96];
+  char buf[128];  // the thread_name record below with two 20-digit %zu values
   for (size_t tid = 0; tid < rings.size(); ++tid) {
     if (rings[tid] == nullptr) {
       continue;

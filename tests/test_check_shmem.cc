@@ -82,7 +82,7 @@ ProtocolChecker::SegmentLayout OneSenderLayout(int depth) {
 struct CheckedCluster {
   explicit CheckedCluster(int n, CheckLevel level = CheckLevel::kFull)
       : checker(level, n),
-        transport(n, ShmemOptions{}, nullptr, (checker.SetConcurrent(true), &checker)),
+        transport(n, nullptr, (checker.SetConcurrent(true), &checker)),
         domain(transport, n) {}
 
   void Run(const std::function<void(int, Dstorm&, ShmemRankCtx&)>& body) {
@@ -370,16 +370,6 @@ TEST(CheckShmem, EightRankStressHasNoFalsePositives) {
 
   EXPECT_GT(cluster.checker.events_checked(), 0);
   EXPECT_EQ(cluster.checker.violation_count(), 0) << cluster.checker.ReportJson();
-}
-
-// Partition injection needs a network; under shmem it must fail with a
-// clean Status instead of aborting the process.
-TEST(CheckShmem, ShmemSetReachableReturnsError) {
-  ShmemTransport transport(2);
-  const Status status = transport.SetReachable(0, 1, false);
-  EXPECT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
-  EXPECT_TRUE(transport.Reachable(0, 1));  // nothing was partitioned
 }
 
 // --- concurrent-mode relaxations, pinned standalone ------------------------

@@ -1,7 +1,7 @@
 // Malt runtime on the shared-memory backend: the same worker body the
 // simulator runs executes on real concurrent threads. Covers end-to-end
-// vector scatter/gather/fold, sim-vs-shmem bit-equality for the SVM and NN
-// apps, and watchdog-delivered kills. Runs clean under TSan
+// vector scatter/gather/fold, sim-vs-shmem bit-equality for the SVM, NN and
+// MF apps, and watchdog-delivered kills. Runs clean under TSan
 // (tools/check.sh MALT_SANITIZE=thread stage).
 
 #include <gtest/gtest.h>
@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/apps/mf_app.h"
 #include "src/apps/nn_app.h"
 #include "src/apps/svm_app.h"
 #include "src/core/runtime.h"
@@ -157,6 +158,31 @@ TEST(ShmemRuntime, NnBspBitEqualToSim) {
   const NnRunResult shm = run(TransportKind::kShmem);
   EXPECT_EQ(shm.final_auc, sim.final_auc);
   EXPECT_EQ(shm.final_logloss, sim.final_logloss);
+}
+
+// MF's own BSP round (not ModelSync): scatter the touched factor rows,
+// barrier, replace-gather. A rank that leaves the barrier late can find a
+// faster peer's next-round rows already queued; the gather is bounded to the
+// round, so shmem must give the simulator's final RMSE exactly.
+TEST(ShmemRuntime, MfBspBitEqualToSim) {
+  const RatingsDataset data = MakeRatings(RatingsConfig{});
+  MfAppConfig config;
+  config.data = &data;
+  config.epochs = 3;
+  ASSERT_EQ(MaltOptions{}.sync, SyncMode::kBSP);
+
+  for (const int ranks : {2, 4}) {
+    auto run = [&](TransportKind kind) {
+      MaltOptions options;
+      options.ranks = ranks;
+      options.transport = kind;
+      Malt malt(options);
+      return RunDistributedMf(malt, config);
+    };
+    const MfRunResult sim = run(TransportKind::kSim);
+    const MfRunResult shm = run(TransportKind::kShmem);
+    EXPECT_EQ(shm.final_rmse, sim.final_rmse) << ranks << " ranks";
+  }
 }
 
 TEST(ShmemRuntime, ScheduledKillRemovesRankAndSurvivorsFinish) {

@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -18,6 +20,12 @@ namespace {
 
 std::span<const std::byte> AsBytes(const void* p, size_t n) {
   return {static_cast<const std::byte*>(p), n};
+}
+
+// fabric.completions.<status> on `node`, the per-status completion counter.
+int64_t Completions(const ShmemTransport& t, int node, const char* status) {
+  return t.telemetry().rank(node).metrics.CounterValue(std::string("fabric.completions.") +
+                                                       status);
 }
 
 TEST(ShmemTransport, WriteLandsWithCompletionAndStats) {
@@ -40,7 +48,8 @@ TEST(ShmemTransport, WriteLandsWithCompletionAndStats) {
   EXPECT_EQ(c[0].dst, 1);
   EXPECT_EQ(c[0].status, WcStatus::kSuccess);
   EXPECT_EQ(t.PollCq(0, c), 0);
-  EXPECT_FALSE(t.CqNonEmpty(0));
+  EXPECT_EQ(Completions(t, 0, "success"), 1);
+  EXPECT_EQ(Completions(t, 0, "invalid_rkey"), 0);
 
   EXPECT_EQ(t.stats().TxBytes(0), static_cast<int64_t>(sizeof(value)));
   EXPECT_EQ(t.stats().RxBytes(1), static_cast<int64_t>(sizeof(value)));
@@ -52,7 +61,6 @@ TEST(ShmemTransport, DeadNodeWriteCompletesRemoteDead) {
   const MrHandle mr = t.RegisterMemory(1, 32);
   t.MarkDead(1);
   EXPECT_FALSE(t.NodeAlive(1));
-  EXPECT_FALSE(t.Reachable(0, 1));
 
   const uint32_t v = 7;
   auto wr = t.PostWrite(0, t.now(), mr, 0, AsBytes(&v, sizeof(v)));
@@ -60,6 +68,8 @@ TEST(ShmemTransport, DeadNodeWriteCompletesRemoteDead) {
   Completion c[1];
   ASSERT_EQ(t.PollCq(0, c), 1);
   EXPECT_EQ(c[0].status, WcStatus::kRemoteDead);
+  EXPECT_EQ(Completions(t, 0, "remote_dead"), 1);
+  EXPECT_EQ(Completions(t, 0, "success"), 0);
 }
 
 TEST(ShmemTransport, OutOfBoundsWriteCompletesInvalidRkey) {
@@ -71,6 +81,8 @@ TEST(ShmemTransport, OutOfBoundsWriteCompletesInvalidRkey) {
   Completion c[1];
   ASSERT_EQ(t.PollCq(0, c), 1);
   EXPECT_EQ(c[0].status, WcStatus::kInvalidRkey);
+  EXPECT_EQ(Completions(t, 0, "invalid_rkey"), 1);
+  EXPECT_EQ(Completions(t, 0, "success"), 0);
 }
 
 TEST(ShmemTransport, DeregisteredRegionRejectsWrites) {
@@ -85,7 +97,10 @@ TEST(ShmemTransport, DeregisteredRegionRejectsWrites) {
 }
 
 // A reader racing a striped writer either gets a fully consistent snapshot
-// or a torn-read failure — never a mixed payload.
+// or a torn-read failure — never a mixed payload. The reader makes at least
+// 20,000 attempts and then keeps reading until it has seen a consistent
+// snapshot or a 10 s wall deadline passes, so a writer that wins every race
+// for a while under CPU load is not mistaken for a broken guard.
 TEST(ShmemTransport, StripedGuardsDetectTornReads) {
   const size_t slot = 64;
   ShmemTransport t(2);
@@ -94,15 +109,19 @@ TEST(ShmemTransport, StripedGuardsDetectTornReads) {
   std::atomic<bool> stop{false};
   std::thread writer([&] {
     std::vector<std::byte> pattern(slot);
+    Completion cq[4];
     for (uint64_t round = 1; !stop.load(std::memory_order_relaxed); ++round) {
       std::memset(pattern.data(), static_cast<int>(round & 0xff), slot);
       ASSERT_TRUE(t.PostWrite(0, t.now(), mr, 0, pattern).ok());
+      ASSERT_EQ(t.PollCq(0, cq), 1);  // the writer drains its own CQ, like dstorm
     }
   });
 
   int consistent = 0;
   std::vector<std::byte> snap(slot);
-  for (int i = 0; i < 20000; ++i) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  for (int i = 0; (i < 20000 || consistent == 0) && std::chrono::steady_clock::now() < deadline;
+       ++i) {
     if (!t.Read(mr, 0, snap)) {
       continue;  // torn: write in flight — the defined failure mode
     }
@@ -113,7 +132,7 @@ TEST(ShmemTransport, StripedGuardsDetectTornReads) {
   }
   stop.store(true, std::memory_order_relaxed);
   writer.join();
-  EXPECT_GT(consistent, 0) << "reader never saw a stable snapshot";
+  EXPECT_GT(consistent, 0) << "reader never saw a stable snapshot in 10 s";
 }
 
 // Satellite: TrafficStats aggregate accessors cover the whole matrix.
@@ -142,55 +161,6 @@ TEST(ShmemTransport, TrafficStatsTotalsAggregateAllPairs) {
   EXPECT_EQ(t.stats().TotalMessages(), expect_msgs);
   EXPECT_EQ(t.stats().TxBytes(0), int64_t{2} * sizeof(payload));
   EXPECT_EQ(t.stats().RxBytes(2), int64_t{2} * sizeof(payload));
-}
-
-// The SPSC ring's index arithmetic never resets: head/tail increase
-// monotonically and the mask picks the slot, so correctness at the
-// full/empty boundaries must hold at every wrap offset. The model checker's
-// ring_1p1c harness explores these transitions under every interleaving;
-// this pins the same boundaries down single-threaded.
-TEST(ShmemTransport, CompletionRingFullEmptyAcrossWraparound) {
-  CompletionRing ring(2);
-  Completion out;
-  EXPECT_TRUE(ring.Empty());
-  EXPECT_FALSE(ring.TryPop(&out));  // empty boundary
-  uint64_t next_push = 1;
-  uint64_t next_pop = 1;
-  for (int round = 0; round < 8; ++round) {  // 8 rounds x 2 slots: many wraps
-    Completion c;
-    c.status = WcStatus::kSuccess;
-    c.wr_id = next_push;
-    c.dst = static_cast<int>(next_push);
-    ASSERT_TRUE(ring.TryPush(c));
-    ++next_push;
-    c.wr_id = next_push;
-    c.dst = static_cast<int>(next_push);
-    ASSERT_TRUE(ring.TryPush(c));
-    ++next_push;
-    c.wr_id = 999;
-    EXPECT_FALSE(ring.TryPush(c));  // full boundary
-    for (int i = 0; i < 2; ++i) {
-      ASSERT_TRUE(ring.TryPop(&out));
-      EXPECT_EQ(out.wr_id, next_pop);
-      EXPECT_EQ(out.dst, static_cast<int>(next_pop));
-      ++next_pop;
-    }
-    EXPECT_TRUE(ring.Empty());
-    EXPECT_FALSE(ring.TryPop(&out));
-  }
-}
-
-TEST(ShmemTransport, CompletionRingDropsWhenFull) {
-  ShmemOptions opts;
-  opts.cq_capacity = 4;
-  ShmemTransport t(2, opts);
-  const MrHandle mr = t.RegisterMemory(1, 16);
-  const uint32_t v = 1;
-  for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(t.PostWrite(0, t.now(), mr, 0, AsBytes(&v, sizeof(v))).ok());
-  }
-  Completion c[16];
-  EXPECT_EQ(t.PollCq(0, c), 4);  // capacity kept; the rest counted as dropped
 }
 
 TEST(ShmemTransportDeathTest, RegionIndexOverflowAbortsAtRegistration) {

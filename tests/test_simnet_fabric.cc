@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 
 #include "src/sim/engine.h"
 
@@ -22,6 +23,12 @@ FabricOptions TestOptions() {
 
 std::span<const std::byte> AsBytes(const void* p, size_t n) {
   return {static_cast<const std::byte*>(p), n};
+}
+
+// fabric.completions.<status> on `node`, the per-status completion counter.
+int64_t Completions(const Fabric& fabric, int node, const char* status) {
+  return fabric.telemetry().rank(node).metrics.CounterValue(
+      std::string("fabric.completions.") + status);
 }
 
 TEST(Fabric, WriteLandsAtArrivalTime) {
@@ -58,7 +65,7 @@ TEST(Fabric, CompletionArrivesAfterAck) {
     auto wr = fabric.PostWrite(0, p.now(), mr, 0, AsBytes(&value, sizeof(value)));
     ASSERT_TRUE(wr.ok());
     EXPECT_EQ(fabric.OutstandingWrites(0), 1);
-    p.WaitUntil([&] { return fabric.CqNonEmpty(0); });
+    p.WaitUntil([&] { return fabric.OutstandingWrites(0) == 0; });
     // serialization (4) + latency (1000) + ack latency (1000).
     EXPECT_EQ(p.now(), 2004);
     Completion c[4];
@@ -67,6 +74,8 @@ TEST(Fabric, CompletionArrivesAfterAck) {
     EXPECT_EQ(c[0].dst, 1);
     EXPECT_EQ(c[0].wr_id, *wr);
     EXPECT_EQ(fabric.OutstandingWrites(0), 0);
+    EXPECT_EQ(Completions(fabric, 0, "success"), 1);
+    EXPECT_EQ(Completions(fabric, 0, "remote_dead"), 0);
   });
   engine.Run();
 }
@@ -118,10 +127,12 @@ TEST(Fabric, WriteToKilledNodeErrorCompletion) {
     p.SleepUntil(10'000);  // after the victim dies
     std::byte b[8] = {};
     ASSERT_TRUE(fabric.PostWrite(0, p.now(), mr, 0, b).ok());
-    p.WaitUntil([&] { return fabric.CqNonEmpty(0); });
+    p.WaitUntil([&] { return fabric.OutstandingWrites(0) == 0; });
     Completion c[1];
     ASSERT_EQ(fabric.PollCq(0, c), 1);
     EXPECT_EQ(c[0].status, WcStatus::kRemoteDead);
+    EXPECT_EQ(Completions(fabric, 0, "remote_dead"), 1);
+    EXPECT_EQ(Completions(fabric, 0, "success"), 0);
   });
   const int victim = engine.AddProcess("victim", [&](Process& p) { p.Advance(100'000); });
   engine.ScheduleKill(victim, 5'000);
@@ -139,7 +150,7 @@ TEST(Fabric, InFlightWriteToDyingNodeFails) {
   engine.AddProcess("sender", [&](Process& p) {
     std::byte b[8] = {};
     ASSERT_TRUE(fabric.PostWrite(0, p.now(), mr, 0, b).ok());
-    p.WaitUntil([&] { return fabric.CqNonEmpty(0); });
+    p.WaitUntil([&] { return fabric.OutstandingWrites(0) == 0; });
     Completion c[1];
     ASSERT_EQ(fabric.PollCq(0, c), 1);
     EXPECT_EQ(c[0].status, WcStatus::kRemoteDead);
@@ -153,15 +164,17 @@ TEST(Fabric, PartitionInjection) {
   Engine engine;
   Fabric fabric(engine, 2, TestOptions());
   MrHandle mr = fabric.RegisterMemory(1, 64);
-  ASSERT_TRUE(fabric.SetReachable(0, 1, false).ok());
+  fabric.SetReachable(0, 1, false);
 
   engine.AddProcess("sender", [&](Process& p) {
     std::byte b[8] = {};
     ASSERT_TRUE(fabric.PostWrite(0, p.now(), mr, 0, b).ok());
-    p.WaitUntil([&] { return fabric.CqNonEmpty(0); });
+    p.WaitUntil([&] { return fabric.OutstandingWrites(0) == 0; });
     Completion c[1];
     ASSERT_EQ(fabric.PollCq(0, c), 1);
     EXPECT_EQ(c[0].status, WcStatus::kUnreachable);
+    EXPECT_EQ(Completions(fabric, 0, "unreachable"), 1);
+    EXPECT_EQ(Completions(fabric, 0, "success"), 0);
   });
   engine.Run();
 }
@@ -174,10 +187,12 @@ TEST(Fabric, OutOfBoundsWriteFails) {
   engine.AddProcess("sender", [&](Process& p) {
     std::byte b[32] = {};
     ASSERT_TRUE(fabric.PostWrite(0, p.now(), mr, 0, b).ok());  // post succeeds
-    p.WaitUntil([&] { return fabric.CqNonEmpty(0); });
+    p.WaitUntil([&] { return fabric.OutstandingWrites(0) == 0; });
     Completion c[1];
     ASSERT_EQ(fabric.PollCq(0, c), 1);
     EXPECT_EQ(c[0].status, WcStatus::kInvalidRkey);
+    EXPECT_EQ(Completions(fabric, 0, "invalid_rkey"), 1);
+    EXPECT_EQ(Completions(fabric, 0, "success"), 0);
   });
   engine.Run();
 }

@@ -19,8 +19,9 @@
 #                      metric naming).
 #   4. ctest -L analysis — the protocol-checker test suite.
 #   4b. model check   — cmake -DMALT_MODELCHECK=ON build, then ctest -L
-#                      modelcheck: exhaustive DFS over the tiny seqlock/ring
-#                      configs, a fixed-seed PCT sweep, and the planted-bug
+#                      modelcheck: exhaustive DFS over the tiny seqlock,
+#                      spinlock, shmem publish and rank-kill configs, a
+#                      fixed-seed PCT sweep, and the planted-bug
 #                      mutation matrix with deterministic replay
 #                      (tools/malt_mc --selftest + tests/test_modelcheck).
 #                      Failing schedules land in /tmp/malt_mc_*.trace; replay

@@ -56,7 +56,6 @@ constexpr MutationName kMutations[] = {
     {"none", McMutation::kNone},
     {"seqlock_write_end_relaxed", McMutation::kSeqlockWriteEndRelaxed},
     {"seqlock_skip_parity_bump", McMutation::kSeqlockSkipParityBump},
-    {"ring_relaxed_publish", McMutation::kRingRelaxedPublish},
     {"shmem_publish_fence_dropped", McMutation::kShmemPublishFenceDropped},
 };
 
@@ -152,7 +151,6 @@ int SelfTest() {
   constexpr Case kCases[] = {
       {"seqlock_write_end_relaxed", "seqlock_1w1r"},
       {"seqlock_skip_parity_bump", "seqlock_1w1r"},
-      {"ring_relaxed_publish", "ring_1p1c"},
       {"shmem_publish_fence_dropped", "shmem_publish"},
   };
   int failures = 0;
