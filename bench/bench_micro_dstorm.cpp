@@ -7,6 +7,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/base/seqlock.h"
@@ -34,7 +36,7 @@ void BM_SeqLockTryReadCopy(benchmark::State& state) {
   std::vector<char> src(len, 'x');
   std::vector<char> dst(len);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(lock.TryReadCopy(dst.data(), src.data(), len));
+    benchmark::DoNotOptimize(lock.TryReadCopyAtomic(dst.data(), src.data(), len));
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(len));
@@ -53,7 +55,9 @@ void BM_DstormRound(benchmark::State& state) {
     Fabric fabric(engine, nodes, FabricOptions{});
     DstormDomain domain(fabric, nodes);
     for (int rank = 0; rank < nodes; ++rank) {
-      engine.AddProcess("r" + std::to_string(rank), [&, rank](Process& p) {
+      std::string name = "r";
+      name += std::to_string(rank);
+      engine.AddProcess(std::move(name), [&, rank](Process& p) {
         SimProcessCtx ctx(p);
         Dstorm& d = domain.node(rank);
         d.BindCtx(ctx);
@@ -88,7 +92,9 @@ void BM_SparseEncodeScatter(benchmark::State& state) {
     Fabric fabric(engine, 2, FabricOptions{});
     DstormDomain domain(fabric, 2);
     for (int rank = 0; rank < 2; ++rank) {
-      engine.AddProcess("r" + std::to_string(rank), [&, rank](Process& p) {
+      std::string name = "r";
+      name += std::to_string(rank);
+      engine.AddProcess(std::move(name), [&, rank](Process& p) {
         SimProcessCtx ctx(p);
         Dstorm& d = domain.node(rank);
         d.BindCtx(ctx);
@@ -125,7 +131,9 @@ void BM_EngineContextSwitch(benchmark::State& state) {
   for (auto _ : state) {
     Engine engine;
     for (int rank = 0; rank < nodes; ++rank) {
-      engine.AddProcess("r" + std::to_string(rank), [](Process& p) {
+      std::string name = "r";
+      name += std::to_string(rank);
+      engine.AddProcess(std::move(name), [](Process& p) {
         for (int i = 0; i < 100; ++i) {
           p.Advance(10);
         }

@@ -326,8 +326,11 @@ inline T RelaxedRefLoad(const T* p) {
 
 }  // namespace detail
 
-// Word/byte cells of the seqlock-protected payload copies
-// (AtomicStoreBytes / AtomicLoadBytes in src/base/seqlock.h).
+// Word/byte cells of the word-atomic copies (AtomicStoreBytes /
+// AtomicLoadBytes in src/base/seqlock.h): the shmem transport's unguarded
+// words and, in this build, the seqlock-guarded payload copies too
+// (GuardedStoreBytes / GuardedLoadBytes fall back to the word loops here, so
+// every payload word is a sync point).
 inline void RelaxedWordStore(uint64_t* p, uint64_t v) { detail::RelaxedRefStore(p, v); }
 inline uint64_t RelaxedWordLoad(const uint64_t* p) { return detail::RelaxedRefLoad(p); }
 inline void RelaxedByteStore(unsigned char* p, unsigned char v) {

@@ -96,7 +96,8 @@ std::string Graph::ToString() const {
   for (int src = 0; src < size(); ++src) {
     out += std::to_string(src) + " ->";
     for (int dst : OutEdges(src)) {
-      out += " " + std::to_string(dst);
+      out += ' ';
+      out += std::to_string(dst);
     }
     out += "\n";
   }

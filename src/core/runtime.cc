@@ -6,6 +6,10 @@
 #include <limits>
 #include <thread>
 
+#ifdef __linux__
+#include <sys/prctl.h>
+#endif
+
 #include "src/base/log.h"
 #include "src/shmem/rank_ctx.h"
 #include "src/simnet/rank_ctx.h"
@@ -647,6 +651,11 @@ void Malt::RunShmem(const std::function<void(Worker&)>& body) {
   threads.reserve(static_cast<size_t>(n));
   for (int rank = 0; rank < n; ++rank) {
     threads.emplace_back([this, rank, &body, &ctxs] {
+#ifdef __linux__
+      // Wait backoff sleeps 20 us at a time (ShmemRankCtx::Backoff); the
+      // default 50 us timer slack would more than triple each sleep.
+      prctl(PR_SET_TIMERSLACK, 1000UL, 0UL, 0UL, 0UL);
+#endif
       try {
         RunWorker(rank, *ctxs[static_cast<size_t>(rank)], body);
       } catch (const ProcessKilled&) {

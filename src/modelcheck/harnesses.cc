@@ -68,7 +68,7 @@ class SeqlockHarness : public Harness {
       return;  // write in flight; a real reader would retry
     }
     uint64_t snap[kWords];
-    AtomicLoadBytes(snap, data_, sizeof(snap));
+    GuardedLoadBytes(snap, data_, sizeof(snap));
     mc::Fence(std::memory_order_acquire);
     if (!lock_.ReadValidate(s0)) {
       return;  // torn; a real reader would retry

@@ -81,16 +81,21 @@ class ShmemRankCtx : public RankCtx {
   }
 
   // Spin briefly (peers usually respond within microseconds), then back off
-  // to real sleeps so oversubscribed runs (more ranks than cores) make
-  // progress without burning the scheduler. Under the model checker the
-  // spin yield parks the thread until another thread commits a store, so
-  // wait loops never enumerate useless self-interleavings.
+  // to short real sleeps so oversubscribed runs (more ranks than cores) make
+  // progress without burning the scheduler. The 20 us step bounds how late a
+  // sleeping waiter sees its predicate turn true; the runtime trims each rank
+  // thread's timer slack to 1 us (RunShmem) so the kernel does not add its
+  // default 50 us to every step. A longer spin phase wakes waiters sooner
+  // still but steals the cores that the ranks still computing need. Under
+  // the model checker the spin yield parks the thread until another thread
+  // commits a store, so wait loops never enumerate useless
+  // self-interleavings.
   static void Backoff(int spins) {
     MALT_MC_SPIN_YIELD();
     if (spins < 64) {
       std::this_thread::yield();
     } else {
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
+      std::this_thread::sleep_for(std::chrono::microseconds(20));
     }
   }
 

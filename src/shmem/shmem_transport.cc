@@ -78,7 +78,9 @@ void ShmemTransport::GuardedStore(Region& region, size_t offset,
   for (size_t s = first; s <= last; ++s) {
     region.guards[s].WriteBegin();
   }
-  AtomicStoreBytes(region.bytes.data() + offset, data.data(), data.size());
+  // One bulk copy: the stripe sequences, not per-word atomicity, keep a
+  // reader from accepting a torn payload (GuardedStoreBytes).
+  GuardedStoreBytes(region.bytes.data() + offset, data.data(), data.size());
   for (size_t s = last + 1; s-- > first;) {
     region.guards[s].WriteEnd();
   }
@@ -111,7 +113,7 @@ bool ShmemTransport::Read(MrHandle mr, size_t offset, std::span<std::byte> out) 
       return false;  // write in flight
     }
   }
-  AtomicLoadBytes(out.data(), region->bytes.data() + offset, out.size());
+  GuardedLoadBytes(out.data(), region->bytes.data() + offset, out.size());
   // Order the payload loads before the validating sequence loads.
   mc::Fence(std::memory_order_acquire);
   for (size_t s = 0; s < nstripes; ++s) {

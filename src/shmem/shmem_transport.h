@@ -11,10 +11,13 @@
 //      concurrent senders never share a stripe). A writer holds the stripe's
 //      seqlock across its copy; Read() detects in-flight overwrites and
 //      reports them as torn, which dstorm's atomic gather already handles.
-//   2. Word-atomic copies: payload bytes move through relaxed word-sized
-//      atomics (AtomicStoreBytes / AtomicLoadBytes), so the races the
-//      protocol tolerates are data-race-free — the shmem suite runs clean
-//      under ThreadSanitizer.
+//   2. Bulk guarded copies, word-atomic unguarded ones: bytes under a stripe
+//      guard move in one copy (GuardedStoreBytes / GuardedLoadBytes, a
+//      single `rep movsb` on x86-64), since the seqlock detects a torn
+//      snapshot whatever order the bytes land in. Unguarded regions (barrier
+//      counters, probe stamps) have no sequence to validate, so their bytes
+//      move through relaxed word atomics (AtomicStoreBytes /
+//      AtomicLoadBytes) and every 8-byte word is single-copy atomic.
 //   3. Inline completions: a write applies and completes on the sender's
 //      thread before PostWrite returns, so each rank's CQ (Transport's plain
 //      per-node FIFO) is pushed by its own posts and drained by its own

@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <cstdlib>
 #include <exception>
+#include <string>
+#include <utility>
 
 #include "src/base/log.h"
 
@@ -290,7 +292,11 @@ void Engine::ApplyEvent(Event event) {
 void Engine::RunProcessSlice(Process& p) {
   current_time_ = p.clock_;
   if (trace_enabled_) {
-    trace_.push_back("P" + std::to_string(p.pid_) + "@" + std::to_string(p.clock_));
+    std::string entry = "P";
+    entry += std::to_string(p.pid_);
+    entry += '@';
+    entry += std::to_string(p.clock_);
+    trace_.push_back(std::move(entry));
   }
   p.state_ = ProcState::kRunning;
   SwitchToProcess(p);

@@ -199,43 +199,47 @@ GatherResult MaltVector::GatherAverage(int64_t min_iter, int64_t max_iter) {
   // local = (local + sum incoming) / (1 + k). For sparse updates only the
   // touched coordinates participate (per-coordinate k = number of updates
   // touching it); untouched coordinates keep the local value — standard
-  // sparse parameter mixing. The sums are built inside the gather and
-  // sized on the first update, so an empty gather allocates nothing.
+  // sparse parameter mixing. The sums live in member scratch sized on the
+  // first update, so an empty gather touches nothing and later gathers
+  // allocate nothing.
   if (options_.layout == Layout::kDense) {
-    std::vector<double> acc;
+    bool seeded = false;
     const GatherResult result = GatherEach(min_iter, max_iter, [&](const IncomingUpdate& u) {
-      if (acc.empty()) {
-        acc.assign(local_.begin(), local_.end());
+      if (!seeded) {
+        avg_acc_.assign(local_.begin(), local_.end());
+        seeded = true;
       }
       for (size_t i = 0; i < u.values.size(); ++i) {
-        acc[i] += u.values[i];
+        avg_acc_[i] += u.values[i];
       }
     });
     if (result.received > 0) {
       const float scale = 1.0f / (1.0f + static_cast<float>(result.received));
       for (size_t i = 0; i < local_.size(); ++i) {
-        local_[i] = static_cast<float>(acc[i] * scale);
+        local_[i] = static_cast<float>(avg_acc_[i] * scale);
       }
     }
     return result;
   }
 
-  std::vector<float> sum;
-  std::vector<int> count;
+  // Sparse scratch is all zeros between gathers: the mixing pass clears each
+  // coordinate it consumes.
   const GatherResult result = GatherEach(min_iter, max_iter, [&](const IncomingUpdate& u) {
-    if (sum.empty()) {
-      sum.assign(options_.dim, 0.0f);
-      count.assign(options_.dim, 0);
+    if (avg_sum_.empty()) {
+      avg_sum_.assign(options_.dim, 0.0f);
+      avg_count_.assign(options_.dim, 0);
     }
     for (size_t k = 0; k < u.indices.size(); ++k) {
-      sum[u.indices[k]] += u.values[k];
-      count[u.indices[k]] += 1;
+      avg_sum_[u.indices[k]] += u.values[k];
+      avg_count_[u.indices[k]] += 1;
     }
   });
   if (result.received > 0) {
     for (uint32_t i = 0; i < options_.dim; ++i) {
-      if (count[i] > 0) {
-        local_[i] = (local_[i] + sum[i]) / (1.0f + static_cast<float>(count[i]));
+      if (avg_count_[i] > 0) {
+        local_[i] = (local_[i] + avg_sum_[i]) / (1.0f + static_cast<float>(avg_count_[i]));
+        avg_sum_[i] = 0.0f;
+        avg_count_[i] = 0;
       }
     }
   }

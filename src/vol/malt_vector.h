@@ -154,6 +154,11 @@ class MaltVector {
   SegmentId segment_;
   std::vector<float> local_;
   std::vector<std::byte> wire_;  // scatter encode buffer
+  // GatherAverage scratch, sized on first use: the dense running sum, and
+  // the sparse per-coordinate sums and counts (all zero between gathers).
+  std::vector<double> avg_acc_;
+  std::vector<float> avg_sum_;
+  std::vector<int> avg_count_;
   uint32_t iteration_ = 0;
 
   // Telemetry cells (shared per-rank registry, resolved once).

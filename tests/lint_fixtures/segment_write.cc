@@ -7,6 +7,7 @@
 void BadSegmentWrites(void* region_base, const void* src, unsigned long n) {
   std::memcpy(region_base, src, n);  // EXPECT-LINT(segment-write)
   AtomicStoreBytes(region_base, src, n);  // EXPECT-LINT(segment-write)
+  GuardedStoreBytes(region_base, src, n);  // EXPECT-LINT(segment-write)
 }
 
 void BadRawSpan(Transport& t, MrHandle mr) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <thread>
 #include <vector>
@@ -13,7 +14,7 @@ TEST(SeqLock, CleanReadNoRetry) {
   SeqLock lock;
   char src[16] = "hello";
   char dst[16] = {};
-  EXPECT_EQ(lock.ReadCopy(dst, src, sizeof(src)), 0);
+  EXPECT_EQ(lock.ReadCopyAtomic(dst, src, sizeof(src)), 0);
   EXPECT_STREQ(dst, "hello");
 }
 
@@ -23,10 +24,42 @@ TEST(SeqLock, TryReadFailsMidWrite) {
   char dst[8] = {};
   lock.WriteBegin();
   EXPECT_TRUE(lock.WriteInProgress());
-  EXPECT_FALSE(lock.TryReadCopy(dst, src, sizeof(src)));
+  EXPECT_FALSE(lock.TryReadCopyAtomic(dst, src, sizeof(src)));
   lock.WriteEnd();
   EXPECT_FALSE(lock.WriteInProgress());
-  EXPECT_TRUE(lock.TryReadCopy(dst, src, sizeof(src)));
+  EXPECT_TRUE(lock.TryReadCopyAtomic(dst, src, sizeof(src)));
+}
+
+// The guarded helpers move exactly memcpy's bytes whatever the alignment of
+// either side: every src/dst misalignment 0-15 against lengths that straddle
+// word and cache-line boundaries, up to a 188,608-byte SVM slot. Bytes around
+// the destination window must stay untouched.
+TEST(SeqLock, GuardedCopiesEqualMemcpy) {
+  constexpr size_t kLens[] = {0, 1, 7, 8, 9, 63, 64, 65, 4095, 188608};
+  constexpr size_t kPad = 16;
+  for (size_t len : kLens) {
+    std::vector<unsigned char> src(len + kPad);
+    for (size_t i = 0; i < src.size(); ++i) {
+      src[i] = static_cast<unsigned char>(i * 131 + 7);
+    }
+    std::vector<unsigned char> want(len + 2 * kPad);
+    std::vector<unsigned char> stored(want.size());
+    std::vector<unsigned char> loaded(want.size());
+    for (size_t src_off = 0; src_off < 16; ++src_off) {
+      for (size_t dst_off = 0; dst_off < 16; ++dst_off) {
+        std::fill(want.begin(), want.end(), 0xee);
+        std::fill(stored.begin(), stored.end(), 0xee);
+        std::fill(loaded.begin(), loaded.end(), 0xee);
+        std::memcpy(want.data() + dst_off, src.data() + src_off, len);
+        GuardedStoreBytes(stored.data() + dst_off, src.data() + src_off, len);
+        GuardedLoadBytes(loaded.data() + dst_off, src.data() + src_off, len);
+        ASSERT_EQ(stored, want) << "store len " << len << " src+" << src_off << " dst+"
+                                << dst_off;
+        ASSERT_EQ(loaded, want) << "load len " << len << " src+" << src_off << " dst+"
+                                << dst_off;
+      }
+    }
+  }
 }
 
 TEST(SeqLock, SequenceAdvancesByTwoPerWrite) {
@@ -53,11 +86,11 @@ TEST(SeqLock, StampOverflowKeepsParityDiscipline) {
   lock.WriteBegin();
   EXPECT_EQ(lock.sequence(), ~uint64_t{0});  // 2^64 - 1: odd, write in flight
   EXPECT_TRUE(lock.WriteInProgress());
-  EXPECT_FALSE(lock.TryReadCopy(dst, src, sizeof(src)));
+  EXPECT_FALSE(lock.TryReadCopyAtomic(dst, src, sizeof(src)));
   lock.WriteEnd();
   EXPECT_EQ(lock.sequence(), 0u);  // wrapped to the next even value
   EXPECT_FALSE(lock.WriteInProgress());
-  EXPECT_TRUE(lock.TryReadCopy(dst, src, sizeof(src)));
+  EXPECT_TRUE(lock.TryReadCopyAtomic(dst, src, sizeof(src)));
 }
 
 TEST(SeqLock, ValidationRejectsSnapshotSpanningOverflow) {
@@ -83,9 +116,9 @@ TEST(SeqLock, WriteAtomicAcrossOverflowStaysConsistent) {
 
 TEST(SeqLock, ConcurrentReadersNeverSeeTornData) {
   // Writer repeatedly writes a buffer where all bytes carry the same value;
-  // readers must never observe a mix. Uses the word-atomic copy helpers so
-  // the reader's speculative copy is data-race-free (TSan-clean) — the same
-  // protocol the shmem transport runs.
+  // readers must never observe a mix. WriteAtomic / ReadCopyAtomic move the
+  // bytes with the guarded bulk copy, the same protocol the shmem transport
+  // runs.
   SeqLock lock;
   constexpr size_t kLen = 256;
   std::vector<unsigned char> shared(kLen, 0);

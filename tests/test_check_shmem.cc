@@ -141,8 +141,8 @@ TEST(CheckShmem, InjectedTornWriteCaughtExactlyOnce) {
       ASSERT_TRUE(d.Barrier().ok());
     } else {
       ASSERT_TRUE(d.Barrier().ok());
-      // The rogue image's stamps are word-atomic stores; wait until the
-      // front stamp is visible here, then gather over the torn slot.
+      // Wait until the rogue image's front stamp is visible here, then
+      // gather over the torn slot.
       ctx.Wait([&] {
         std::byte img[sizeof(uint64_t)];
         return cluster.transport.Read(victim, 0, img) && LoadU64(img) == 1;

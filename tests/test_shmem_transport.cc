@@ -135,6 +135,65 @@ TEST(ShmemTransport, StripedGuardsDetectTornReads) {
   EXPECT_GT(consistent, 0) << "reader never saw a stable snapshot in 10 s";
 }
 
+// The same guard at an SVM slot's size, where a guarded store is one bulk
+// copy whose bytes may land in any order: one writer alternates two uniform
+// 188,608-byte images into a single stripe while two readers snapshot the
+// whole stripe. Every accepted snapshot must be exactly one image. The
+// writer pauses between posts so readers get stable windows; each reader
+// stops at 1000 accepted snapshots or after a 10 s wall deadline.
+TEST(ShmemTransport, SlotSizedBulkCopyNeverTearsAcceptedReads) {
+  const size_t slot = 188608;
+  constexpr int kReaders = 2;
+  constexpr int kWantAccepted = 1000;
+  ShmemTransport t(2);
+  const MrHandle mr = t.RegisterMemory(1, slot, /*guard_stripe_bytes=*/slot);
+  const std::vector<std::byte> image_a(slot, std::byte{0xa5});
+  const std::vector<std::byte> image_b(slot, std::byte{0x5a});
+  ASSERT_TRUE(t.PostWrite(0, t.now(), mr, 0, image_a).ok());
+  Completion cq[4];
+  ASSERT_EQ(t.PollCq(0, cq), 1);
+
+  std::atomic<bool> stop{false};
+  std::thread writer([&] {
+    Completion wc[4];
+    for (uint64_t round = 1; !stop.load(std::memory_order_relaxed); ++round) {
+      ASSERT_TRUE(t.PostWrite(0, t.now(), mr, 0, (round & 1) ? image_b : image_a).ok());
+      ASSERT_EQ(t.PollCq(0, wc), 1);
+      std::this_thread::sleep_for(std::chrono::microseconds(20));
+    }
+  });
+
+  std::atomic<int> torn{0};
+  int accepted[kReaders] = {};
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      std::vector<std::byte> snap(slot);
+      while (accepted[r] < kWantAccepted && std::chrono::steady_clock::now() < deadline) {
+        if (!t.Read(mr, 0, snap)) {
+          continue;  // write in flight: the defined failure mode
+        }
+        ++accepted[r];
+        // memcmp, not vector ==: it keeps the check fast under TSan.
+        if (std::memcmp(snap.data(), image_a.data(), slot) != 0 &&
+            std::memcmp(snap.data(), image_b.data(), slot) != 0) {
+          torn.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (std::thread& reader : readers) {
+    reader.join();
+  }
+  stop.store(true, std::memory_order_relaxed);
+  writer.join();
+  EXPECT_EQ(torn.load(), 0) << "a torn snapshot escaped the guard";
+  for (int r = 0; r < kReaders; ++r) {
+    EXPECT_GT(accepted[r], 0) << "reader " << r << " never saw a stable snapshot in 10 s";
+  }
+}
+
 // Satellite: TrafficStats aggregate accessors cover the whole matrix.
 TEST(ShmemTransport, TrafficStatsTotalsAggregateAllPairs) {
   const int n = 3;

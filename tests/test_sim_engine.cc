@@ -10,6 +10,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace malt {
@@ -172,7 +173,9 @@ TEST(Engine, DeterministicTraceAcrossRuns) {
     engine.EnableTrace();
     int counter = 0;
     for (int pid = 0; pid < 4; ++pid) {
-      engine.AddProcess("p" + std::to_string(pid), [&, pid](Process& p) {
+      std::string name = "p";
+      name += std::to_string(pid);
+      engine.AddProcess(std::move(name), [&, pid](Process& p) {
         for (int i = 0; i < 10; ++i) {
           p.Advance(100 + 37 * pid);
           ++counter;
@@ -189,7 +192,9 @@ TEST(Engine, ManyProcessesAllFinish) {
   Engine engine;
   int finished = 0;
   for (int pid = 0; pid < 256; ++pid) {
-    engine.AddProcess("p" + std::to_string(pid), [&, pid](Process& p) {
+    std::string name = "p";
+    name += std::to_string(pid);
+    engine.AddProcess(std::move(name), [&, pid](Process& p) {
       for (int i = 0; i < 5; ++i) {
         p.Advance(1 + pid);
       }

@@ -5,7 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
-
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/base/hash.h"
@@ -27,7 +28,9 @@ TEST_P(RandomWorkloadSweep, ClocksMonotoneAndDeterministic) {
     Fnv1a hash;
     const int procs = 6;
     for (int pid = 0; pid < procs; ++pid) {
-      engine.AddProcess("p" + std::to_string(pid), [pid, seed, &hash](Process& p) {
+      std::string name = "p";
+      name += std::to_string(pid);
+      engine.AddProcess(std::move(name), [pid, seed, &hash](Process& p) {
         Xoshiro256 rng(seed * 1000 + static_cast<uint64_t>(pid));
         SimTime last = p.now();
         for (int step = 0; step < 200; ++step) {

@@ -4,9 +4,10 @@ compiler cannot enforce.
 
 Rules:
   segment-write   Raw stores into transport/segment memory (memcpy/memset with
-                  a region/segment destination, AtomicStoreBytes, or the raw
-                  Transport::Data() span) are only legal inside the transport
-                  implementations (src/shmem/, src/simnet/). Everything else
+                  a region/segment destination, AtomicStoreBytes or
+                  GuardedStoreBytes, or the raw Transport::Data() span) are
+                  only legal inside the transport implementations
+                  (src/shmem/, src/simnet/). Everything else
                   must go through Transport::Write / PostWrite so the seqlock
                   guards and the protocol checker see every store.
   check-determinism
@@ -76,6 +77,7 @@ FIXTURE_DIR = "tests/lint_fixtures"
 
 COUNTER_NAME = re.compile(r"^[a-z0-9][a-z0-9_-]*(\.[a-z0-9][a-z0-9_-]*)*$")
 GETTER = re.compile(r'\bGet(?:Counter|Gauge|Histogram)\s*\(\s*"([^"]*)"')
+RAW_STORE = re.compile(r"\b(?:Atomic|Guarded)StoreBytes\b")
 MEM_WRITE = re.compile(r"\bmem(?:cpy|set|move)\s*\(\s*([^,;]*)")
 SEGMENT_DEST = re.compile(r"Data\s*\(|\bregion|->bytes|\bsegment\b")
 RAW_SPAN = re.compile(r"(?:->|\.)Data\s*\(")
@@ -133,10 +135,11 @@ def lint_lines(rel: str, lines: list, findings: list) -> None:
         stripped = line.split("//", 1)[0]
 
         if not in_segment_writer:
-            if "AtomicStoreBytes" in stripped:
+            m = RAW_STORE.search(stripped)
+            if m:
                 findings.append((rel, lineno, "segment-write",
-                                 "AtomicStoreBytes outside the transport "
-                                 "implementations; use Transport::Write/PostWrite"))
+                                 "%s outside the transport implementations; "
+                                 "use Transport::Write/PostWrite" % m.group(0)))
             m = MEM_WRITE.search(stripped)
             if m and SEGMENT_DEST.search(m.group(1)):
                 findings.append((rel, lineno, "segment-write",
