@@ -99,7 +99,6 @@ void BM_SparseEncodeScatter(benchmark::State& state) {
         Dstorm& d = domain.node(rank);
         d.BindCtx(ctx);
         MaltVectorOptions opts;
-        opts.name = "v";
         opts.dim = dim;
         opts.layout = Layout::kSparse;
         opts.max_nnz = nnz;

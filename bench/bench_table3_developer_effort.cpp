@@ -35,7 +35,7 @@ bool IsMaltApiLine(const std::string& line) {
       "MaltVector",   "ChargeFlops", "ChargeSeconds", "monitor()", "SspWait",
       "Worker&",      "MaltOptions", "set_iteration", "dstorm()",  "recorder()",
       "FreshAvailable", "RunSvm", "RunMf", "RunNn", "Malt ",
-      "ModelSync",    ".Round()",    ".Finish()",
+      "ModelSync",    ".Round(",     ".Finish()",
   };
   for (const char* marker : kMarkers) {
     if (line.find(marker) != std::string::npos) {

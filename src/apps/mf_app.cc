@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/base/log.h"
+#include "src/core/model_sync.h"
 
 namespace malt {
 
@@ -26,17 +27,24 @@ MfRunResult RunDistributedMf(Malt& malt, const MfAppConfig& config) {
     MaltVector factors = w.CreateVector("mf_pq", factor_count, Layout::kSparse, max_nnz);
     MfSgd mf(factors.data(), data.users, data.items, config.mf);
     mf.InitFactors(w.options().seed);  // same init everywhere
+    ModelSync sync(w, {&factors}, ModelSync::Mixing::kReplace);  // distributed Hogwild
 
     bool reshard = true;
     w.monitor().AddRecoveryListener([&reshard](const std::vector<int>&) { reshard = true; });
 
-    // Touched-row tracking for sparse scatter.
+    // Touched-row tracking: a round ships the `rank` coordinates of every
+    // factor row touched since the last one, rows in first-touch order.
     std::vector<uint8_t> row_touched(static_cast<size_t>(data.users + data.items), 0);
     std::vector<uint32_t> touched_rows;
-    std::vector<uint32_t> scatter_indices;
+    std::vector<uint32_t> ship;
+    auto touch = [&](uint32_t row) {
+      if (!row_touched[row]) {
+        row_touched[row] = 1;
+        touched_rows.push_back(row);
+      }
+    };
 
     Worker::Shard shard;
-    uint32_t batch = 0;
     int64_t ratings_done = 0;
     int64_t next_eval = 1;
     int64_t eval_stride = 1;
@@ -48,37 +56,6 @@ MfRunResult RunDistributedMf(Malt& malt, const MfAppConfig& config) {
       const double rmse = mf.TestRmse(data.test);
       rec.Record("rmse_vs_time", w.now_seconds(), rmse);
       rec.Record("rmse_vs_ratings", static_cast<double>(ratings_done), rmse);
-    };
-
-    auto comm_round = [&] {
-      ++batch;
-      factors.set_iteration(batch);
-      scatter_indices.clear();
-      for (uint32_t row : touched_rows) {
-        const size_t base = static_cast<size_t>(row) * rank_dim;
-        for (size_t f = 0; f < rank_dim; ++f) {
-          scatter_indices.push_back(static_cast<uint32_t>(base + f));
-        }
-        row_touched[row] = 0;
-      }
-      touched_rows.clear();
-      const Status status = factors.ScatterIndices(scatter_indices);
-      if (!status.ok() && status.code() != StatusCode::kUnavailable) {
-        MALT_LOG_S(kWarning) << "rank " << w.rank() << " MF scatter: " << status.ToString();
-      }
-      w.ChargeSeconds(2e-7 * static_cast<double>(factors.graph().OutEdges(w.rank()).size()));
-      // Under BSP the gather folds this round's objects only: a fast peer may
-      // already have posted its next round's, which belongs to the next
-      // gather (the same bound ModelSync applies).
-      int64_t max_iter = -1;
-      if (w.options().sync == SyncMode::kBSP) {
-        (void)w.dstorm().Flush();
-        MALT_CHECK(w.Barrier().ok());
-        max_iter = batch;
-      }
-      const GatherResult r = factors.GatherReplace(-1, max_iter);  // distributed Hogwild
-      w.ChargeFlops(static_cast<double>(r.received) * static_cast<double>(scatter_indices.size()));
-      (void)w.monitor().CheckAndRecover();
     };
 
     const SimTime start = w.now();
@@ -97,22 +74,22 @@ MfRunResult RunDistributedMf(Malt& malt, const MfAppConfig& config) {
         const Rating& r = data.train[i];
         mf.TrainRating(r);
         batch_flops += mf.last_step_flops();
-        const uint32_t user_row = r.user;
-        const uint32_t item_row = static_cast<uint32_t>(data.users) + r.item;
-        if (!row_touched[user_row]) {
-          row_touched[user_row] = 1;
-          touched_rows.push_back(user_row);
-        }
-        if (!row_touched[item_row]) {
-          row_touched[item_row] = 1;
-          touched_rows.push_back(item_row);
-        }
+        touch(r.user);
+        touch(static_cast<uint32_t>(data.users) + r.item);
         ++ratings_done;
         ++in_batch;
         const bool end_of_shard = i + 1 == shard.end;
         if (in_batch >= config.cb_size || end_of_shard) {
           w.ChargeFlops(batch_flops);
-          comm_round();
+          ship.clear();
+          for (uint32_t row : touched_rows) {
+            row_touched[row] = 0;
+            for (size_t f = 0; f < rank_dim; ++f) {
+              ship.push_back(static_cast<uint32_t>(row * rank_dim + f));
+            }
+          }
+          touched_rows.clear();
+          sync.Round(ship);
           in_batch = 0;
           batch_flops = 0;
           if (ratings_done >= next_eval) {
@@ -123,6 +100,7 @@ MfRunResult RunDistributedMf(Malt& malt, const MfAppConfig& config) {
       }
       rec.Count("epochs");
     }
+    // Flush only: Finish() would add a BSP barrier and move the finish time.
     (void)w.dstorm().Flush();
     evaluate();
     rec.Set("finish_seconds", w.now_seconds());

@@ -2,11 +2,14 @@
 // Fig. 7: Netflix, async, replace-gather).
 //
 // The latent factors [P | Q] live in one sparse MaltVector. Each replica runs
-// SGD over its shard of ratings; every `cb_size` ratings it scatters just the
-// factor rows it touched, and folds peers' rows with the *replace* UDF —
-// extending single-machine Hogwild's lock-free overwrites across the cluster
-// exactly as the paper does. Input is optionally sorted by item and sharded
-// so replicas mostly touch disjoint item rows ("to avoid wasted work", §6.1).
+// SGD over its shard of ratings; every `cb_size` ratings it hands the factor
+// rows it touched to a ModelSync kReplace round, which scatters just those
+// rows and folds peers' rows with the *replace* UDF — extending
+// single-machine Hogwild's lock-free overwrites across the cluster exactly as
+// the paper does. The app keeps only the touched-row tracking; the round
+// brings the BSP barrier, the SSP gate and the phase accounting. Input is
+// optionally sorted by item and sharded so replicas mostly touch disjoint
+// item rows ("to avoid wasted work", §6.1).
 
 #ifndef SRC_APPS_MF_APP_H_
 #define SRC_APPS_MF_APP_H_

@@ -19,16 +19,17 @@ ModelSync::ModelSync(Worker& worker, std::vector<MaltVector*> model, Mixing mixi
     if (v->layout() != Layout::kDense) {
       model_sync_every_ = 0;  // a sparse wire cannot carry a whole model
     }
-    if (mixing_ != Mixing::kModelAverage) {
+    if (mixing_ == Mixing::kDeltaSum || mixing_ == Mixing::kDeltaAverage) {
       snapshots_.emplace_back(v->data().begin(), v->data().end());
     }
   }
 }
 
-void ModelSync::Round() {
+void ModelSync::Round(std::span<const uint32_t> ship) {
   ++round_;
   const SyncMode sync = worker_.options().sync;
-  const bool deltas = mixing_ != Mixing::kModelAverage;
+  const bool replace = mixing_ == Mixing::kReplace;
+  const bool deltas = !snapshots_.empty();  // delta mixings only
   const bool model_round =
       model_sync_every_ > 0 && round_ % static_cast<uint32_t>(model_sync_every_) == 0;
   if (deltas) {
@@ -47,7 +48,9 @@ void ModelSync::Round() {
     for (MaltVector* v : model_) {
       v->set_iteration(round_);
       Status status;
-      if (v->layout() == Layout::kSparse) {
+      if (v->layout() == Layout::kSparse && replace) {
+        status = v->ScatterIndices(ship);
+      } else if (v->layout() == Layout::kSparse) {
         LargestMagnitudeIndices(v->data(), v->max_nnz(), &nz_indices_);
         status = v->ScatterIndices(nz_indices_);
       } else {
@@ -80,15 +83,22 @@ void ModelSync::Round() {
     // model round it is a whole model, not a delta).
     const int64_t max_iter = sync == SyncMode::kBSP ? static_cast<int64_t>(round_) : -1;
     const bool sum_fold = mixing_ == Mixing::kDeltaSum && !model_round;
+    int64_t received = 0;
     int64_t values_folded = 0;
     for (MaltVector* v : model_) {
-      values_folded += (sum_fold ? v->GatherSum(min_iter, max_iter)
-                                 : v->GatherAverage(min_iter, max_iter))
-                           .values_folded;
+      const GatherResult r = replace    ? v->GatherReplace(min_iter, max_iter)
+                             : sum_fold ? v->GatherSum(min_iter, max_iter)
+                                        : v->GatherAverage(min_iter, max_iter);
+      received += r.received;
+      values_folded += r.values_folded;
     }
-    // Fold cost: one pass over each incoming entry plus the rescale.
-    worker_.ChargeFlops(2.0 * static_cast<double>(values_folded) +
-                        2.0 * static_cast<double>(dim_));
+    // Fold cost: replace charges each received object the entries this rank
+    // shipped, a proxy for the peer's size (DESIGN.md §5); the others one
+    // pass over each incoming entry plus the rescale.
+    worker_.ChargeFlops(replace ? static_cast<double>(received) *
+                                      static_cast<double>(ship.size())
+                                : 2.0 * static_cast<double>(values_folded) +
+                                      2.0 * static_cast<double>(dim_));
   }
   if (deltas) {
     // New agreement point: snapshot + folded delta, or on a model round the

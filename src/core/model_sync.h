@@ -1,17 +1,19 @@
 // One communication round over a replica's model (paper §3.2, Algorithm 2),
-// the protocol an existing trainer wraps around its training loop: the app
-// trains in place in its MaltVectors' local copies, calls Round() every
+// the protocol every app (SVM, NN, MF) wraps around its training loop: the
+// app trains in place in its MaltVectors' local copies, calls Round() every
 // `cb_size` examples and Finish() once at the end. A round owns the
 // agreement-point snapshots, the delta encode and fold-back, the whole-model
 // round schedule, the scatter (sparse vectors ship their largest-magnitude
-// entries), the BSP flush and barrier, the sum or average gather, the SSP
-// wait, the recovery check, the phase scopes and the modeled cost (DESIGN.md
-// §5). Every replica builds the same ModelSync over the same vectors.
+// entries, or under kReplace the coordinates the app names), the BSP flush
+// and barrier, the sum, average or replace gather, the SSP wait, the recovery
+// check, the phase scopes and the modeled cost (DESIGN.md §5). Every replica
+// builds the same ModelSync over the same vectors.
 
 #ifndef SRC_CORE_MODEL_SYNC_H_
 #define SRC_CORE_MODEL_SYNC_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/core/runtime.h"
@@ -27,6 +29,10 @@ class ModelSync {
     // averages whole models instead, so knowledge spreads past neighbors.
     kDeltaSum,
     kDeltaAverage,  // scatter deltas, average them (Algorithm 2's gather(AVG))
+    // Distributed Hogwild (§4.1.2): sparse vectors scatter the coordinates
+    // passed to Round(), and peers' entries overwrite local ones. No
+    // snapshots, no deltas.
+    kReplace,
   };
 
   static constexpr int kNoStaleSkip = 1 << 30;
@@ -38,7 +44,9 @@ class ModelSync {
 
   // Encode, scatter, (BSP) flush + barrier, gather, fold back, (SSP) wait,
   // recovery check. The round number is the outgoing iteration stamp.
-  void Round();
+  // `ship` (kReplace only): the coordinates the sparse vectors scatter, e.g.
+  // the rows touched since the last round; the other mixings pass nothing.
+  void Round(std::span<const uint32_t> ship = {});
   // Flush, barrier (unless ASP) and, in kModelAverage only, one last average
   // of what arrived: a delta mixing applied every delta in its round.
   void Finish();

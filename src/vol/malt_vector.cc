@@ -9,13 +9,6 @@
 
 namespace malt {
 
-namespace {
-
-// Sparse wire format: u32 nnz | u32 idx[nnz] | f32 val[nnz].
-size_t SparseWireBytes(size_t max_nnz) { return 4 + max_nnz * 8; }
-
-}  // namespace
-
 void LargestMagnitudeIndices(std::span<const float> values, size_t max_nnz,
                              std::vector<uint32_t>* out) {
   out->clear();
@@ -42,15 +35,18 @@ MaltVector::MaltVector(Dstorm& dstorm, MaltVectorOptions options)
   MALT_CHECK(options_.graph.size() == dstorm_.world())
       << "vector '" << options_.name << "': graph size mismatch";
 
+  // Sparse objects: u32 nnz | u32 idx[nnz] | f32 val[nnz] (EncodeSparse).
   obj_bytes_ = options_.layout == Layout::kDense ? options_.dim * sizeof(float)
-                                                 : SparseWireBytes(options_.max_nnz);
+                                                 : 4 + options_.max_nnz * 8;
   SegmentOptions seg;
   seg.obj_bytes = obj_bytes_;
   seg.graph = options_.graph;
   seg.queue_depth = options_.queue_depth;
   segment_ = dstorm_.CreateSegment(seg);
   local_.assign(options_.dim, 0.0f);
-  wire_.resize(obj_bytes_);
+  if (options_.layout == Layout::kSparse) {
+    wire_.resize(obj_bytes_);  // dense scatters send local_ as it is
+  }
 
   MetricRegistry& reg = dstorm_.telemetry().metrics;
   c_scatters_ = reg.GetCounter("vol.scatters");
@@ -66,46 +62,49 @@ MaltVector::MaltVector(Dstorm& dstorm, MaltVectorOptions options)
   }
 }
 
+std::span<const std::byte> MaltVector::EncodeSparse(std::span<const uint32_t> indices) {
+  const uint32_t nnz = static_cast<uint32_t>(indices.size());
+  std::memcpy(wire_.data(), &nnz, 4);
+  auto* idx_out = reinterpret_cast<uint32_t*>(wire_.data() + 4);
+  auto* val_out = reinterpret_cast<float*>(wire_.data() + 4 + static_cast<size_t>(nnz) * 4);
+  for (uint32_t k = 0; k < nnz; ++k) {
+    idx_out[k] = indices[k];
+    val_out[k] = local_[indices[k]];
+  }
+  return {wire_.data(), 4 + static_cast<size_t>(nnz) * 8};
+}
+
 Status MaltVector::EncodeAndScatter(std::span<const int>* dsts) {
-  std::span<const std::byte> payload;
   if (options_.layout == Layout::kDense) {
-    payload = std::as_bytes(std::span<const float>(local_));
-  } else {
-    // Encode nonzero entries.
-    uint32_t nnz = 0;
-    auto* idx_out = reinterpret_cast<uint32_t*>(wire_.data() + 4);
-    for (uint32_t i = 0; i < options_.dim; ++i) {
-      if (local_[i] != 0.0f) {
-        if (nnz == options_.max_nnz) {
-          return ResourceExhaustedError("vector '" + options_.name + "': nnz exceeds max_nnz=" +
-                                        std::to_string(options_.max_nnz));
-        }
-        idx_out[nnz++] = i;
+    return Send(std::as_bytes(std::span<const float>(local_)), dsts);
+  }
+  nonzero_.clear();
+  for (uint32_t i = 0; i < options_.dim; ++i) {
+    if (local_[i] != 0.0f) {
+      if (nonzero_.size() == options_.max_nnz) {
+        return ResourceExhaustedError("vector '" + options_.name + "': nnz exceeds max_nnz=" +
+                                      std::to_string(options_.max_nnz));
       }
+      nonzero_.push_back(i);
     }
-    std::memcpy(wire_.data(), &nnz, 4);
-    auto* val_out = reinterpret_cast<float*>(wire_.data() + 4 + nnz * 4);
-    for (uint32_t k = 0; k < nnz; ++k) {
-      val_out[k] = local_[idx_out[k]];
-    }
-    payload = std::span<const std::byte>(wire_.data(), 4 + static_cast<size_t>(nnz) * 8);
   }
-  c_scatters_->Add(1);
-  NoteScatterStamp();
-  if (dsts == nullptr) {
-    return dstorm_.Scatter(segment_, payload, iteration_);
-  }
-  return dstorm_.ScatterTo(segment_, *dsts, payload, iteration_);
+  return Send(EncodeSparse(nonzero_), dsts);
 }
 
 // Outgoing iteration stamps must never regress within one vector: the SSP
-// gate and the ASP straggler filter both order peers by these stamps.
-void MaltVector::NoteScatterStamp() {
+// gate and the ASP straggler filter both order peers by these stamps, so the
+// protocol checker sees each one.
+Status MaltVector::Send(std::span<const std::byte> payload, std::span<const int>* dsts) {
+  c_scatters_->Add(1);
   ProtocolChecker& checker = dstorm_.transport().checker();
   if (checker.enabled()) {
     const SimTime now = dstorm_.bound() ? dstorm_.ctx().Now() : 0;
     checker.OnVolScatter(dstorm_.rank(), segment_, iteration_, now);
   }
+  if (dsts == nullptr) {
+    return dstorm_.Scatter(segment_, payload, iteration_);
+  }
+  return dstorm_.ScatterTo(segment_, *dsts, payload, iteration_);
 }
 
 Status MaltVector::Scatter() { return EncodeAndScatter(nullptr); }
@@ -126,18 +125,7 @@ Status MaltVector::ScatterIndices(std::span<const uint32_t> indices) {
                                   std::to_string(options_.dim));
     }
   }
-  const uint32_t nnz = static_cast<uint32_t>(indices.size());
-  std::memcpy(wire_.data(), &nnz, 4);
-  auto* idx_out = reinterpret_cast<uint32_t*>(wire_.data() + 4);
-  auto* val_out = reinterpret_cast<float*>(wire_.data() + 4 + static_cast<size_t>(nnz) * 4);
-  for (uint32_t k = 0; k < nnz; ++k) {
-    idx_out[k] = indices[k];
-    val_out[k] = local_[indices[k]];
-  }
-  const std::span<const std::byte> payload(wire_.data(), 4 + static_cast<size_t>(nnz) * 8);
-  c_scatters_->Add(1);
-  NoteScatterStamp();
-  return dstorm_.Scatter(segment_, payload, iteration_);
+  return Send(EncodeSparse(indices), nullptr);
 }
 
 Status MaltVector::ScatterTo(std::span<const int> dsts) { return EncodeAndScatter(&dsts); }

@@ -145,15 +145,20 @@ class MaltVector {
   // `max_iter` (when >= 0) are left queued.
   GatherResult GatherEach(int64_t min_iter, int64_t max_iter, const UpdateFn& fn);
   [[nodiscard]] Status EncodeAndScatter(std::span<const int>* dsts);
-  // Records the outgoing stamp with the protocol checker (monotonicity).
-  void NoteScatterStamp();
+  // The one sparse wire encoder: writes `u32 nnz | u32 idx[nnz] | f32
+  // val[nnz]` for `indices` (at most max_nnz, each < dim) into wire_.
+  std::span<const std::byte> EncodeSparse(std::span<const uint32_t> indices);
+  // Counts the scatter, records the outgoing stamp with the protocol checker
+  // (monotonicity) and sends along the graph, or to `dsts` when non-null.
+  [[nodiscard]] Status Send(std::span<const std::byte> payload, std::span<const int>* dsts);
 
   Dstorm& dstorm_;
   MaltVectorOptions options_;
   size_t obj_bytes_;
   SegmentId segment_;
   std::vector<float> local_;
-  std::vector<std::byte> wire_;  // scatter encode buffer
+  std::vector<std::byte> wire_;    // sparse scatter encode buffer (empty when dense)
+  std::vector<uint32_t> nonzero_;  // sparse Scatter() scratch: the nonzero indices
   // GatherAverage scratch, sized on first use: the dense running sum, and
   // the sparse per-coordinate sums and counts (all zero between gathers).
   std::vector<double> avg_acc_;

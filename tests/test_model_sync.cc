@@ -1,6 +1,6 @@
 // ModelSync round tests on the simulator: the delta-sum fold, the periodic
-// whole-model average, Finish() in a delta mixing, and the phase accounting
-// the round gives every app that uses it.
+// whole-model average, Finish() in a delta mixing, the SSP gate of a replace
+// round, and the phase accounting the round gives every app that uses it.
 
 #include "src/core/model_sync.h"
 
@@ -8,6 +8,7 @@
 
 #include <vector>
 
+#include "src/apps/mf_app.h"
 #include "src/apps/nn_app.h"
 #include "src/ml/dataset.h"
 
@@ -139,6 +140,39 @@ TEST(ModelSync, FinishInDeltaMixingDoesNotFoldAQueuedPeerDelta) {
   EXPECT_EQ(after, before);
 }
 
+TEST(ModelSync, ReplaceRoundHonoursSspBound) {
+  MaltOptions options = SmallCluster(2, SyncMode::kSSP);
+  options.staleness = 2;
+  options.barrier_timeout = FromSeconds(0.1);
+  Malt malt(options);
+  std::vector<std::vector<int64_t>> gaps(2);
+  malt.Run([&](Worker& w) {
+    MaltVector v = w.CreateVector("f", kDim, Layout::kSparse);
+    ModelSync sync(w, {&v}, ModelSync::Mixing::kReplace);
+    const std::vector<uint32_t> ship = {static_cast<uint32_t>(w.rank())};
+    // Rank 0 computes 10x faster than rank 1.
+    const double step_cost = w.rank() == 0 ? 0.0001 : 0.001;
+    for (int iter = 1; iter <= 20; ++iter) {
+      w.ChargeSeconds(step_cost);
+      v.data()[ship[0]] = static_cast<float>(iter);
+      sync.Round(ship);
+      const int64_t peer = v.MinPeerIteration();
+      if (peer >= 0) {
+        gaps[static_cast<size_t>(w.rank())].push_back(static_cast<int64_t>(v.iteration()) - peer);
+      }
+    }
+  });
+  // Unbounded, the fast rank would finish its 20 rounds while the slow rank
+  // is at round 2. With the gate it is never more than `staleness` + 1 rounds
+  // ahead of what it has seen (+1: the gap is measured after the round's
+  // stamp bump).
+  ASSERT_FALSE(gaps[0].empty());
+  for (int64_t gap : gaps[0]) {
+    EXPECT_LE(gap, 3);
+  }
+  EXPECT_GT(malt.telemetry().rank(0).metrics.CounterValue("worker.ssp_wait_ns"), 0);
+}
+
 TEST(ModelSync, NnRunReportsRoundPhases) {
   ClassificationConfig dc = KddLike();
   dc.dim = 500;
@@ -152,13 +186,32 @@ TEST(ModelSync, NnRunReportsRoundPhases) {
   config.mlp.hidden1 = 8;
   config.mlp.hidden2 = 4;
   config.evals_per_epoch = 1;
-  Malt malt(SmallCluster(2, SyncMode::kBSP));
-  (void)RunDistributedNn(malt, config);
-  for (int rank = 0; rank < 2; ++rank) {
-    const MetricRegistry& metrics = malt.telemetry().rank(rank).metrics;
-    EXPECT_GT(metrics.CounterValue("worker.scatter_ns"), 0) << "rank " << rank;
-    EXPECT_GT(metrics.CounterValue("worker.gather_ns"), 0) << "rank " << rank;
-    EXPECT_GT(metrics.CounterValue("worker.barrier_ns"), 0) << "rank " << rank;
+  Malt nn(SmallCluster(2, SyncMode::kBSP));
+  (void)RunDistributedNn(nn, config);
+
+  // MF's replace round is a ModelSync round too.
+  RatingsConfig rc;
+  rc.users = 200;
+  rc.items = 100;
+  rc.train_n = 2000;
+  rc.test_n = 200;
+  const RatingsDataset ratings = MakeRatings(rc);
+  MfAppConfig mf_config;
+  mf_config.data = &ratings;
+  mf_config.epochs = 1;
+  mf_config.cb_size = 100;
+  mf_config.evals_per_epoch = 1;
+  Malt mf(SmallCluster(2, SyncMode::kBSP));
+  (void)RunDistributedMf(mf, mf_config);
+
+  for (const Malt* malt : {&nn, &mf}) {
+    const char* app = malt == &nn ? "nn" : "mf";
+    for (int rank = 0; rank < 2; ++rank) {
+      const MetricRegistry& metrics = malt->telemetry().rank(rank).metrics;
+      EXPECT_GT(metrics.CounterValue("worker.scatter_ns"), 0) << app << " rank " << rank;
+      EXPECT_GT(metrics.CounterValue("worker.gather_ns"), 0) << app << " rank " << rank;
+      EXPECT_GT(metrics.CounterValue("worker.barrier_ns"), 0) << app << " rank " << rank;
+    }
   }
 }
 
