@@ -9,10 +9,9 @@ namespace malt {
 
 MfRunResult RunDistributedMf(Malt& malt, const MfAppConfig& config) {
   MALT_CHECK(config.data != nullptr) << "MfAppConfig.data not set";
-  RatingsDataset data = *config.data;  // local copy: we may reorder it
-  if (config.sort_by_item) {
-    SortRatingsByItem(data);
-  }
+  const RatingsDataset& data = *config.data;
+  // The reordered training set is built straight from the input: one copy.
+  const std::vector<Rating> train = config.sort_by_item ? RatingsByItem(data.train) : data.train;
   const size_t rank_dim = static_cast<size_t>(config.mf.rank);
   const size_t factor_count =
       MfSgd::FactorCount(data.users, data.items, config.mf.rank);
@@ -62,7 +61,7 @@ MfRunResult RunDistributedMf(Malt& malt, const MfAppConfig& config) {
     for (int epoch = 0; epoch < config.epochs; ++epoch) {
       w.BeginEpoch(epoch);
       if (reshard) {
-        shard = w.ShardRange(data.train.size());
+        shard = w.ShardRange(train.size());
         reshard = false;
         eval_stride = std::max<int64_t>(
             1, static_cast<int64_t>(shard.size()) / std::max(1, config.evals_per_epoch));
@@ -71,7 +70,7 @@ MfRunResult RunDistributedMf(Malt& malt, const MfAppConfig& config) {
       double batch_flops = 0;
       int in_batch = 0;
       for (size_t i = shard.begin; i < shard.end; ++i) {
-        const Rating& r = data.train[i];
+        const Rating& r = train[i];
         mf.TrainRating(r);
         batch_flops += mf.last_step_flops();
         touch(r.user);

@@ -2,7 +2,7 @@
 // checking").
 //
 // The hand-rolled lock-free protocols in this tree — the seqlock-striped
-// segment writes, the unguarded publish path, the spinlock and barrier wait
+// segment writes, the unguarded publish path, the barrier and kill wait
 // loops — route every synchronization operation through the thin wrappers in
 // this header instead of using std::atomic directly (the raw-atomic rule in
 // tools/lint_malt_api.py enforces this for src/base/seqlock.h and
@@ -22,7 +22,7 @@
 // until the scheduler commits them (at a release operation of the owning
 // thread, in program order, or earlier at a schedule-chosen commit step in
 // any per-variable-coherent order). That is what lets a systematic explorer
-// drive the real SeqLock / ShmemTransport / SpinLock code through every
+// drive the real SeqLock / ShmemTransport / ShmemRankCtx code through every
 // interleaving of a small harness, including the store-reordering behaviors
 // a release fence exists to forbid. Threads not registered with a scheduler
 // (including all threads when no harness is active) fall through to the real
@@ -233,47 +233,6 @@ class atomic {  // NOLINT(readability-identifier-naming) std::atomic look-alike
   mutable std::atomic<T> real_;
 };
 
-// std::atomic_flag replacement (SpinLock).
-class atomic_flag {  // NOLINT(readability-identifier-naming)
- public:
-  atomic_flag() noexcept = default;
-  atomic_flag(const atomic_flag&) = delete;
-  atomic_flag& operator=(const atomic_flag&) = delete;
-
-  bool test_and_set(std::memory_order order = std::memory_order_seq_cst) {
-    SchedulerClient* s = Current();
-    if (s == nullptr) {
-      return real_.test_and_set(order);
-    }
-    s->SyncPoint(this, SchedulerClient::Op::kRmw);
-    if (detail::IsRelease(order)) {
-      s->DrainReleasePreemptible();
-    } else {
-      s->FlushVar(this);
-    }
-    const bool old = real_.test_and_set(std::memory_order_relaxed);
-    s->NoteCommit();
-    return old;
-  }
-
-  void clear(std::memory_order order = std::memory_order_seq_cst) {
-    SchedulerClient* s = Current();
-    if (s == nullptr) {
-      real_.clear(order);
-      return;
-    }
-    s->SyncPoint(this, SchedulerClient::Op::kCommitStore);
-    if (detail::IsRelease(order)) {
-      s->DrainReleasePreemptible();
-    }
-    real_.clear(std::memory_order_relaxed);
-    s->NoteCommit();
-  }
-
- private:
-  std::atomic_flag real_ = ATOMIC_FLAG_INIT;
-};
-
 // Fences. Release (and stronger) fences commit the thread's store buffer in
 // program order; acquire fences are no-ops in the model (the model does not
 // reorder loads, so acquire ordering always holds — see DESIGN.md §11 for
@@ -411,8 +370,6 @@ inline void SpinYieldHint() {
 
 template <typename T>
 using atomic = std::atomic<T>;
-
-using atomic_flag = std::atomic_flag;
 
 inline void Fence(std::memory_order order) { std::atomic_thread_fence(order); }
 

@@ -1,4 +1,4 @@
-// Annotated lock primitives: the only mutex/spinlock types allowed outside
+// Annotated lock primitives: the only mutex types allowed outside
 // src/base/ (the raw-mutex rule in tools/lint_malt_api.py enforces this).
 //
 // Each type wraps the std primitive and carries Clang thread-safety
@@ -7,18 +7,16 @@
 // compiler-checked under clang (-Werror=thread-safety, the MALT_THREAD_SAFETY
 // cmake option) and zero-cost documentation under gcc.
 //
-// Scoped holders (MutexLock, SpinLockHolder, ReaderMutexLock, ...) are the
+// Scoped holders (MutexLock, ReaderMutexLock, ...) are the
 // way to take a lock. The simulator engine takes none of these: its ranks are
 // fibers on the one thread that calls Engine::Run() (src/sim/engine.h).
 
 #ifndef SRC_BASE_MUTEX_H_
 #define SRC_BASE_MUTEX_H_
 
-#include <atomic>
 #include <mutex>
 #include <shared_mutex>
 
-#include "src/base/mc.h"
 #include "src/base/thread_annotations.h"
 
 namespace malt {
@@ -60,34 +58,6 @@ class MALT_CAPABILITY("shared_mutex") SharedMutex {
   std::shared_mutex mu_;
 };
 
-// Tiny test-and-set spinlock. The shmem hot path takes this several times per
-// traced one-sided write, from multiple sender threads into one receiver
-// trace ring; the critical section is a few stores, so spinning beats a futex
-// mutex's contended slow path by a wide margin. The flag goes through the
-// mc:: shim so the model checker (DESIGN.md §11) can drive lock/unlock
-// through explored interleavings; MALT_MC_SPIN_YIELD parks a spinning thread
-// under the model-check scheduler and is a no-op otherwise.
-class MALT_CAPABILITY("mutex") SpinLock {
- public:
-  SpinLock() = default;
-  SpinLock(const SpinLock&) = delete;
-  SpinLock& operator=(const SpinLock&) = delete;
-
-  void lock() MALT_ACQUIRE() {
-    while (flag_.test_and_set(std::memory_order_acquire)) {
-      MALT_MC_SPIN_YIELD();
-#if defined(__x86_64__) || defined(__i386__)
-      __builtin_ia32_pause();
-#endif
-    }
-  }
-  void unlock() MALT_RELEASE() { flag_.clear(std::memory_order_release); }
-  void AssertHeld() const MALT_ASSERT_CAPABILITY(this) {}
-
- private:
-  mc::atomic_flag flag_;
-};
-
 // Scoped exclusive holders. Concrete per lock type (not a template): the
 // analysis resolves the capability through the constructor's parameter, and
 // concrete classes keep the diagnostics readable.
@@ -100,17 +70,6 @@ class MALT_SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex& mu_;
-};
-
-class MALT_SCOPED_CAPABILITY SpinLockHolder {
- public:
-  explicit SpinLockHolder(SpinLock& mu) MALT_ACQUIRE(mu) : mu_(mu) { mu_.lock(); }
-  ~SpinLockHolder() MALT_RELEASE() { mu_.unlock(); }
-  SpinLockHolder(const SpinLockHolder&) = delete;
-  SpinLockHolder& operator=(const SpinLockHolder&) = delete;
-
- private:
-  SpinLock& mu_;
 };
 
 class MALT_SCOPED_CAPABILITY WriterMutexLock {

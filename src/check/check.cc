@@ -109,7 +109,7 @@ void ProtocolChecker::BindTelemetry(TelemetryDomain* telemetry) {
   }
   // Resolve every violation counter up front: registry lookups mutate a map
   // owned by the rank's thread, but a violation can be observed (and must be
-  // counted) from any thread. Counter bumps themselves are relaxed atomics.
+  // counted) from any thread. The bumps happen under report_mu_.
   rank_counters_.reserve(static_cast<size_t>(world_));
   for (int rank = 0; rank < world_; ++rank) {
     MetricRegistry& reg = telemetry_->rank(rank).metrics;
@@ -125,24 +125,29 @@ void ProtocolChecker::BindTelemetry(TelemetryDomain* telemetry) {
 void ProtocolChecker::ReportViolation(const char* kind, int rank, SimTime now,
                                       std::string detail) {
   violation_count_.fetch_add(1, std::memory_order_relaxed);
+  const RankCounters* rc = rank >= 0 && static_cast<size_t>(rank) < rank_counters_.size()
+                               ? &rank_counters_[static_cast<size_t>(rank)]
+                               : nullptr;
   {
     MutexLock lock(report_mu_);
     ++by_kind_[kind];
     if (violations_.size() < kMaxStoredViolations) {
       violations_.push_back(Violation{kind, rank, now, detail});
     }
+    // The counters have one writer (metrics.h): whoever holds report_mu_.
+    if (rc != nullptr) {
+      rc->total->Add(1);
+      for (size_t i = 0; i < check::kAllKinds.size(); ++i) {
+        if (std::strcmp(check::kAllKinds[i], kind) == 0) {
+          rc->per_kind[i]->Add(1);
+          break;
+        }
+      }
+    }
   }
   MALT_LOG_S(kWarning) << "check: " << kind << " on rank " << rank << " at t=" << now << "ns: "
                        << detail;
-  if (rank >= 0 && static_cast<size_t>(rank) < rank_counters_.size()) {
-    const RankCounters& rc = rank_counters_[static_cast<size_t>(rank)];
-    rc.total->Add(1);
-    for (size_t i = 0; i < check::kAllKinds.size(); ++i) {
-      if (std::strcmp(check::kAllKinds[i], kind) == 0) {
-        rc.per_kind[i]->Add(1);
-        break;
-      }
-    }
+  if (rc != nullptr) {
     // Trace rings are single-writer (the owning rank's thread); a violation
     // can be observed from a foreign thread in concurrent mode, so the
     // per-violation trace instant is a serialized-mode feature.

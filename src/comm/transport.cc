@@ -24,18 +24,34 @@ std::string ToString(TransportKind kind) {
   return "?";
 }
 
+int64_t TrafficStats::Read(int node, const std::string& name) const {
+  return telemetry_->rank(node).metrics.CounterValue(name);
+}
+
+int64_t TrafficStats::TxBytes(int node) const { return Read(node, "fabric.bytes_sent"); }
+
+int64_t TrafficStats::TxMessages(int node) const { return Read(node, "fabric.writes_posted"); }
+
+int64_t TrafficStats::RxBytes(int node) const {
+  int64_t total = 0;
+  for (int src = 0; src < nodes_; ++src) {
+    total += Read(node, EdgeMetricName(src, node, "bytes"));
+  }
+  return total;
+}
+
 int64_t TrafficStats::TotalBytes() const {
   int64_t total = 0;
-  for (const std::atomic<int64_t>& b : tx_bytes_) {
-    total += b.load(std::memory_order_relaxed);
+  for (int node = 0; node < nodes_; ++node) {
+    total += TxBytes(node);
   }
   return total;
 }
 
 int64_t TrafficStats::TotalMessages() const {
   int64_t total = 0;
-  for (const std::atomic<int64_t>& m : tx_msgs_) {
-    total += m.load(std::memory_order_relaxed);
+  for (int node = 0; node < nodes_; ++node) {
+    total += TxMessages(node);
   }
   return total;
 }
@@ -52,7 +68,7 @@ Transport::Transport(int nodes, TelemetryDomain* telemetry, ProtocolChecker* che
       flow_events_(telemetry_->options().flow_events),
       counters_(static_cast<size_t>(nodes)),
       edges_(static_cast<size_t>(nodes) * static_cast<size_t>(nodes)),
-      stats_(nodes),
+      stats_(nodes, telemetry_),
       cq_(static_cast<size_t>(nodes)) {
   MALT_CHECK(telemetry_->ranks() >= nodes) << "telemetry domain smaller than transport";
   for (int node = 0; node < nodes; ++node) {
@@ -60,7 +76,6 @@ Transport::Transport(int nodes, TelemetryDomain* telemetry, ProtocolChecker* che
     NodeCounters& c = counters_[static_cast<size_t>(node)];
     c.writes_posted = reg.GetCounter("fabric.writes_posted");
     c.bytes_sent = reg.GetCounter("fabric.bytes_sent");
-    c.bytes_received = reg.GetCounter("fabric.bytes_received");
     c.completions[static_cast<size_t>(WcStatus::kSuccess)] =
         reg.GetCounter("fabric.completions.success");
     c.completions[static_cast<size_t>(WcStatus::kRemoteDead)] =
@@ -74,32 +89,25 @@ Transport::Transport(int nodes, TelemetryDomain* telemetry, ProtocolChecker* che
   }
 }
 
-Transport::ResolvedEdge Transport::Edge(int src, int dst) {
+const Transport::EdgeCells& Transport::Edge(int src, int dst) {
   EdgeCells& cell = edges_[static_cast<size_t>(src) * static_cast<size_t>(nodes_) +
                            static_cast<size_t>(dst)];
-  Counter* bytes = cell.bytes.load(std::memory_order_acquire);
-  if (bytes == nullptr) {
+  if (cell.bytes == nullptr) {
     MetricRegistry& reg = telemetry_->rank(dst).metrics;
-    bytes = reg.GetCounter(EdgeMetricName(src, dst, "bytes"));
-    cell.msgs.store(reg.GetCounter(EdgeMetricName(src, dst, "msgs")),
-                    std::memory_order_release);
-    cell.delivery_ns.store(reg.GetHistogram(EdgeMetricName(src, dst, "delivery_ns"),
-                                            EdgeDeliveryHistogramOptions()),
-                           std::memory_order_release);
-    cell.bytes.store(bytes, std::memory_order_release);
+    cell.bytes = reg.GetCounter(EdgeMetricName(src, dst, "bytes"));
+    cell.msgs = reg.GetCounter(EdgeMetricName(src, dst, "msgs"));
+    cell.delivery_ns =
+        reg.GetHistogram(EdgeMetricName(src, dst, "delivery_ns"), EdgeDeliveryHistogramOptions());
   }
-  return ResolvedEdge{bytes, cell.msgs.load(std::memory_order_acquire),
-                      cell.delivery_ns.load(std::memory_order_acquire)};
+  return cell;
 }
 
 void Transport::AccountPost(int src, int dst, size_t bytes) {
-  stats_.Record(src, dst, bytes);
-  NodeCounters& sc = counters_[static_cast<size_t>(src)];
+  const NodeCounters& sc = counters_[static_cast<size_t>(src)];
   sc.writes_posted->Add(1);
   sc.bytes_sent->Add(static_cast<int64_t>(bytes));
   sc.write_bytes->Observe(static_cast<double>(bytes));
-  counters_[static_cast<size_t>(dst)].bytes_received->Add(static_cast<int64_t>(bytes));
-  const ResolvedEdge edge = Edge(src, dst);
+  const EdgeCells& edge = Edge(src, dst);
   edge.bytes->Add(static_cast<int64_t>(bytes));
   edge.msgs->Add(1);
 }
@@ -114,9 +122,9 @@ void Transport::RecordApply(int src, int dst, const WireTrace& trace, SimTime no
     return;
   }
   TraceRing& ring = telemetry_->rank(src).trace;
-  ring.EmitPair({"update.apply", 'X', now, 100, nullptr, 0, 0, dst},
-                {kFlowUpdateName, 't', now, 0, "iter", static_cast<int64_t>(trace.iter),
-                 trace.flow_id, dst});
+  ring.Emit({"update.apply", 'X', now, 100, nullptr, 0, 0, dst});
+  ring.Emit({kFlowUpdateName, 't', now, 0, "iter", static_cast<int64_t>(trace.iter),
+             trace.flow_id, dst});
   Edge(src, dst).delivery_ns->Observe(static_cast<double>(now - trace.sent_at));
 }
 

@@ -19,7 +19,6 @@
 #ifndef SRC_COMM_TRANSPORT_H_
 #define SRC_COMM_TRANSPORT_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -29,7 +28,6 @@
 #include <string>
 #include <vector>
 
-#include "src/base/mc.h"
 #include "src/base/status.h"
 #include "src/base/time_units.h"
 #include "src/check/check.h"
@@ -78,40 +76,28 @@ struct WireTrace {
   bool enabled() const { return flow_id != 0; }
 };
 
-// Per-(src,dst) and per-node byte/message accounting — regenerates Fig. 13.
-// Cells are relaxed atomics: under the shmem transport a sender's thread
-// bumps the receiver's rx counter concurrently with other senders.
+// Per-node byte/message accounting — regenerates Fig. 13. A read-only view
+// of the telemetry cells Transport::AccountPost bumps, not a second tally:
+// TxBytes/TxMessages read the node's "fabric.bytes_sent" /
+// "fabric.writes_posted", RxBytes sums the "comm.edge.<src>-<node>.bytes"
+// cells. Reads look cells up by name, so call them after a run or between
+// posts, not per message.
 class TrafficStats {
  public:
-  explicit TrafficStats(int n)
-      : tx_bytes_(static_cast<size_t>(n)),
-        rx_bytes_(static_cast<size_t>(n)),
-        tx_msgs_(static_cast<size_t>(n)) {}
+  TrafficStats(int nodes, const TelemetryDomain* telemetry)
+      : nodes_(nodes), telemetry_(telemetry) {}
 
-  void Record(int src, int dst, size_t bytes) {
-    tx_bytes_[static_cast<size_t>(src)].fetch_add(static_cast<int64_t>(bytes),
-                                                  std::memory_order_relaxed);
-    rx_bytes_[static_cast<size_t>(dst)].fetch_add(static_cast<int64_t>(bytes),
-                                                  std::memory_order_relaxed);
-    tx_msgs_[static_cast<size_t>(src)].fetch_add(1, std::memory_order_relaxed);
-  }
-
-  int64_t TxBytes(int node) const {
-    return tx_bytes_[static_cast<size_t>(node)].load(std::memory_order_relaxed);
-  }
-  int64_t RxBytes(int node) const {
-    return rx_bytes_[static_cast<size_t>(node)].load(std::memory_order_relaxed);
-  }
-  int64_t TxMessages(int node) const {
-    return tx_msgs_[static_cast<size_t>(node)].load(std::memory_order_relaxed);
-  }
+  int64_t TxBytes(int node) const;
+  int64_t RxBytes(int node) const;
+  int64_t TxMessages(int node) const;
   int64_t TotalBytes() const;
   int64_t TotalMessages() const;
 
  private:
-  std::vector<std::atomic<int64_t>> tx_bytes_;
-  std::vector<std::atomic<int64_t>> rx_bytes_;
-  std::vector<std::atomic<int64_t>> tx_msgs_;
+  int64_t Read(int node, const std::string& name) const;
+
+  int nodes_;
+  const TelemetryDomain* telemetry_;
 };
 
 // The one-sided-write subset of verbs that dstorm needs. All `node` / `src`
@@ -120,7 +106,7 @@ class TrafficStats {
 // The base class holds what both backends account the same way: the
 // telemetry domain and protocol checker (or owned fallbacks), the per-node
 // "fabric.*" counters, the lazily resolved "comm.edge.<src>-<dst>.*" cells,
-// the TrafficStats matrix and one completion FIFO per node. A backend
+// the TrafficStats view over them and one completion FIFO per node. A backend
 // implements region storage and apply, timing and the send queue, liveness
 // and wr_id numbering, and reports each post through AccountPost, each
 // traced apply through RecordApply and each completion through Complete.
@@ -145,7 +131,6 @@ class Transport {
   const TelemetryDomain& telemetry() const { return *telemetry_; }
   ProtocolChecker& checker() { return *checker_; }
   const ProtocolChecker& checker() const { return *checker_; }
-  TrafficStats& stats() { return stats_; }
   const TrafficStats& stats() const { return stats_; }
 
   // Registers `bytes` of transport-owned memory on `node`; the region is
@@ -211,9 +196,9 @@ class Transport {
   // is created, so instrumented paths never null-check.
   Transport(int nodes, TelemetryDomain* telemetry, ProtocolChecker* checker);
 
-  // Accounts one posted write of `bytes` from `src` to `dst`: TrafficStats,
-  // both nodes' fabric.* cells and the (src→dst) edge cells. Callable from
-  // any sender's thread; every cell is a relaxed atomic.
+  // Accounts one posted write of `bytes` from `src` to `dst`: src's fabric.*
+  // cells and the (src→dst) edge cells. Every cell it bumps belongs to `src`
+  // alone, so it must run on src's thread (one writer per cell, metrics.h).
   void AccountPost(int src, int dst, size_t bytes);
 
   // Pushes `c` onto `src`'s CQ and counts its status.
@@ -228,33 +213,25 @@ class Transport {
   void RecordApply(int src, int dst, const WireTrace& trace, SimTime now);
 
  private:
-  // Per-node cells, resolved once at construction (hot-path bumps are
-  // relaxed atomic adds; see src/telemetry/metrics.h).
+  // Per-node cells, resolved once at construction; only the node's own
+  // posts bump them.
   struct NodeCounters {
     Counter* writes_posted = nullptr;
     Counter* bytes_sent = nullptr;
-    Counter* bytes_received = nullptr;
     Counter* completions[4] = {};  // indexed by WcStatus
     HistogramMetric* write_bytes = nullptr;
   };
 
   // Per-(src→dst) edge cells under "comm.edge.<src>-<dst>.*" in the
   // *receiver's* registry. Lazily resolved, so only edges that carry
-  // traffic allocate metrics; the cache slots are atomic pointers because
-  // several sender threads may race the first resolution for a shared
-  // destination (GetCounter is idempotent, so both racers store the same
-  // pointer).
+  // traffic allocate metrics. Like the cells themselves, an edge's cache
+  // slot is touched only by `src`'s posts, so it needs no atomics.
   struct EdgeCells {
-    mc::atomic<Counter*> bytes{nullptr};
-    mc::atomic<Counter*> msgs{nullptr};
-    mc::atomic<HistogramMetric*> delivery_ns{nullptr};
+    Counter* bytes = nullptr;
+    Counter* msgs = nullptr;
+    HistogramMetric* delivery_ns = nullptr;
   };
-  struct ResolvedEdge {
-    Counter* bytes;
-    Counter* msgs;
-    HistogramMetric* delivery_ns;
-  };
-  ResolvedEdge Edge(int src, int dst);
+  const EdgeCells& Edge(int src, int dst);
 
   const int nodes_;
   std::unique_ptr<TelemetryDomain> owned_telemetry_;  // set when none was passed

@@ -353,8 +353,8 @@ void Malt::DumpPostmortem(const char* reason) {
 void Malt::WireFlightRecorder() {
   // Section renderers run at dump/refresh time: from the watchdog or sampler
   // thread mid-run, or from the fatal hook at death. Everything they touch is
-  // safe to read concurrently (atomic metric cells, registry/ring/ledger
-  // locks, HealthMonitor's mutex).
+  // safe to read concurrently (atomic metric cells, stamped trace slots,
+  // registry/ledger locks, HealthMonitor's mutex).
   flightrec_->AddSection("options", [this](std::string* out) {
     out->append("{\"ranks\":");
     AppendJsonNumber(out, static_cast<double>(options_.ranks));
@@ -435,10 +435,9 @@ void Malt::WireFlightRecorder() {
     out->push_back('[');
     bool first = true;
     for (int rank = 0; rank < telemetry_.ranks(); ++rank) {
-      const std::vector<TraceEvent> events = telemetry_.rank(rank).trace.Snapshot();
-      const size_t begin = events.size() > kTailPerRank ? events.size() - kTailPerRank : 0;
-      for (size_t i = begin; i < events.size(); ++i) {
-        const TraceEvent& ev = events[i];
+      // Mid-run the owner may be emitting: the stamped read drops any event
+      // it overwrites during the copy.
+      for (const TraceEvent& ev : telemetry_.rank(rank).trace.Snapshot(kTailPerRank)) {
         if (!first) {
           out->push_back(',');
         }

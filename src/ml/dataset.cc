@@ -335,9 +335,26 @@ void ShuffleRatings(RatingsDataset& data, uint64_t seed) {
   rng.Shuffle(data.train.data(), data.train.size());
 }
 
-void SortRatingsByItem(RatingsDataset& data) {
-  std::stable_sort(data.train.begin(), data.train.end(),
-                   [](const Rating& a, const Rating& b) { return a.item < b.item; });
+std::vector<Rating> RatingsByItem(const std::vector<Rating>& ratings) {
+  uint32_t items = 0;
+  for (const Rating& r : ratings) {
+    items = std::max(items, r.item + 1);
+  }
+  // start[i] is where item i's next rating goes.
+  std::vector<size_t> start(static_cast<size_t>(items) + 1, 0);
+  for (const Rating& r : ratings) {
+    ++start[r.item + 1];
+  }
+  for (size_t i = 1; i < start.size(); ++i) {
+    start[i] += start[i - 1];
+  }
+  std::vector<Rating> out(ratings.size());
+  for (const Rating& r : ratings) {
+    out[start[r.item]++] = r;
+  }
+  return out;
 }
+
+void SortRatingsByItem(RatingsDataset& data) { data.train = RatingsByItem(data.train); }
 
 }  // namespace malt

@@ -154,6 +154,7 @@ struct Rating {
   uint32_t user = 0;
   uint32_t item = 0;
   float value = 0;
+  bool operator==(const Rating&) const = default;
 };
 
 struct RatingsDataset {
@@ -182,8 +183,12 @@ RatingsDataset MakeRatings(const RatingsConfig& config);
 // Deterministic shuffling/sharding helpers.
 void ShuffleRatings(RatingsDataset& data, uint64_t seed);
 
-// Sorts training ratings by item — the paper sorts the Netflix input by movie
-// and splits across ranks "to avoid conflicts" in distributed Hogwild (§6.1).
+// `ratings` ordered by item, ties in input order — std::stable_sort's order,
+// from one counting pass and one placement pass (O(n + items)). The paper
+// sorts the Netflix input by movie and splits across ranks "to avoid
+// conflicts" in distributed Hogwild (§6.1).
+std::vector<Rating> RatingsByItem(const std::vector<Rating>& ratings);
+// data.train = RatingsByItem(data.train).
 void SortRatingsByItem(RatingsDataset& data);
 
 }  // namespace malt

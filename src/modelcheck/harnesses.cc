@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "src/base/mc.h"
-#include "src/base/mutex.h"
 #include "src/base/seqlock.h"
 #include "src/check/check.h"
 #include "src/shmem/rank_ctx.h"
@@ -91,40 +90,6 @@ class SeqlockHarness : public Harness {
   const uint64_t base_;
   SeqLock lock_;
   uint64_t data_[kWords];
-};
-
-// --- spinlock mutual exclusion ----------------------------------------------
-//
-// Two threads increment a plain (buffered-store) counter under the real
-// SpinLock. Mutual exclusion plus the unlock's release drain must make every
-// increment visible to the next lock holder; a lost update leaves the final
-// count short.
-class SpinLockHarness : public Harness {
- public:
-  std::vector<std::function<void()>> Threads() override {
-    auto body = [this] {
-      for (int i = 0; i < kItersPerThread; ++i) {
-        SpinLockHolder hold(mu_);
-        const int64_t v = mc::PlainLoad(&counter_);
-        mc::PlainStore(&counter_, v + 1);
-      }
-    };
-    return {body, body};
-  }
-
-  std::string FinalCheck() override {
-    const int64_t expect = 2 * kItersPerThread;
-    if (counter_ != expect) {
-      return "spinlock lost updates: counter " + std::to_string(counter_) + " != " +
-             std::to_string(expect);
-    }
-    return "";
-  }
-
- private:
-  static constexpr int kItersPerThread = 1;
-  SpinLock mu_;
-  int64_t counter_ = 0;
 };
 
 // --- shmem unguarded publish ------------------------------------------------
@@ -366,8 +331,6 @@ const std::vector<HarnessInfo> kHarnesses = {
      /*dfs_feasible=*/true, /*expected_steps=*/96},
     {"seqlock_overflow", "SeqLock: publish across the 2^64 stamp wraparound", 2,
      /*dfs_feasible=*/true, /*expected_steps=*/64},
-    {"spinlock_2t", "SpinLock: 2 contending increments, mutual exclusion + handoff", 2,
-     /*dfs_feasible=*/true, /*expected_steps=*/96},
     {"shmem_publish", "ShmemTransport unguarded region: payload-then-flag publish", 2,
      /*dfs_feasible=*/true, /*expected_steps=*/128},
     {"rankctx_kill", "ShmemRankCtx: RequestKill observed from a parked Wait()", 2,
@@ -399,9 +362,6 @@ HarnessFactory MakeHarness(const std::string& name) {
   }
   if (name == "seqlock_overflow") {
     return [] { return std::make_unique<SeqlockHarness>(1, kOverflowBase); };
-  }
-  if (name == "spinlock_2t") {
-    return [] { return std::make_unique<SpinLockHarness>(); };
   }
   if (name == "shmem_publish") {
     return [] { return std::make_unique<ShmemPublishHarness>(); };

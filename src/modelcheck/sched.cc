@@ -152,8 +152,8 @@ class Client : public mc::SchedulerClient {
     // retry continues inline without parking — the yield itself observes
     // nothing, so it is not a scheduling point; the retry's own loads are.
     // Only OTHER threads' commits count as progress: this thread's own
-    // stores are forwarded to its loads, so self-commits (including a
-    // spinlock's failed test_and_set RMWs) cannot invalidate the pass.
+    // stores are forwarded to its loads, so self-commits (including its
+    // own failed RMWs) cannot invalidate the pass.
     const uint64_t others = exec_->commit_epoch - st_->self_commits;
     if (others != st_->pass_epoch) {
       st_->pass_epoch = others;

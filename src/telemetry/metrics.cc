@@ -12,24 +12,24 @@ namespace malt {
 
 namespace {
 
-// CAS loops instead of std::atomic<double>::fetch_add / a hypothetical
-// fetch_min: portable across libstdc++/libc++ versions, and relaxed is
-// enough — readers only ever want an approximate snapshot.
-void AtomicAddDouble(std::atomic<double>* a, double delta) {
-  double cur = a->load(std::memory_order_relaxed);
-  while (!a->compare_exchange_weak(cur, cur + delta, std::memory_order_relaxed)) {
+// The one-writer bumps (see metrics.h): relaxed load, then relaxed store.
+void Bump(std::atomic<int64_t>* a, int64_t delta) {
+  a->store(a->load(std::memory_order_relaxed) + delta, std::memory_order_relaxed);
+}
+
+void Bump(std::atomic<double>* a, double delta) {
+  a->store(a->load(std::memory_order_relaxed) + delta, std::memory_order_relaxed);
+}
+
+void LowerTo(std::atomic<double>* a, double x) {
+  if (x < a->load(std::memory_order_relaxed)) {
+    a->store(x, std::memory_order_relaxed);
   }
 }
 
-void AtomicMinDouble(std::atomic<double>* a, double x) {
-  double cur = a->load(std::memory_order_relaxed);
-  while (x < cur && !a->compare_exchange_weak(cur, x, std::memory_order_relaxed)) {
-  }
-}
-
-void AtomicMaxDouble(std::atomic<double>* a, double x) {
-  double cur = a->load(std::memory_order_relaxed);
-  while (x > cur && !a->compare_exchange_weak(cur, x, std::memory_order_relaxed)) {
+void RaiseTo(std::atomic<double>* a, double x) {
+  if (x > a->load(std::memory_order_relaxed)) {
+    a->store(x, std::memory_order_relaxed);
   }
 }
 
@@ -40,7 +40,9 @@ HistogramMetric::HistogramMetric() : HistogramMetric(Options{}) {}
 HistogramMetric::HistogramMetric(Options options)
     : options_(options),
       width_((options.hi - options.lo) / static_cast<double>(options.buckets)),
-      buckets_(static_cast<size_t>(options.buckets)),
+      inv_width_(1.0 / width_),
+      lines_((static_cast<size_t>(std::max(options.buckets, 1)) + kBucketsPerLine - 1) /
+             kBucketsPerLine),
       min_(std::numeric_limits<double>::infinity()),
       max_(-std::numeric_limits<double>::infinity()) {
   MALT_CHECK(options.buckets >= 1) << "histogram needs >= 1 bucket";
@@ -48,13 +50,17 @@ HistogramMetric::HistogramMetric(Options options)
 }
 
 void HistogramMetric::Observe(double x) {
-  int idx = static_cast<int>((x - options_.lo) / width_);
-  idx = std::clamp(idx, 0, options_.buckets - 1);
-  buckets_[static_cast<size_t>(idx)].fetch_add(1, std::memory_order_relaxed);
-  AtomicMinDouble(&min_, x);
-  AtomicMaxDouble(&max_, x);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  AtomicAddDouble(&sum_, x);
+  const double pos = (x - options_.lo) * inv_width_;
+  const size_t last = static_cast<size_t>(options_.buckets - 1);
+  // !(pos >= 1) also sends NaN to the first bucket.
+  const size_t idx = !(pos >= 1.0)                      ? 0
+                     : pos >= static_cast<double>(last) ? last
+                                                        : static_cast<size_t>(pos);
+  Bump(&Bucket(idx), 1);
+  LowerTo(&min_, x);
+  RaiseTo(&max_, x);
+  Bump(&count_, 1);
+  Bump(&sum_, x);
 }
 
 void HistogramMetric::Merge(const HistogramMetric& other) {
@@ -62,13 +68,13 @@ void HistogramMetric::Merge(const HistogramMetric& other) {
   if (other.count() == 0) {
     return;
   }
-  for (size_t i = 0; i < buckets_.size(); ++i) {
-    buckets_[i].fetch_add(other.BucketCount(i), std::memory_order_relaxed);
+  for (size_t i = 0; i < static_cast<size_t>(options_.buckets); ++i) {
+    Bump(&Bucket(i), other.BucketCount(i));
   }
-  AtomicMinDouble(&min_, other.min_.load(std::memory_order_relaxed));
-  AtomicMaxDouble(&max_, other.max_.load(std::memory_order_relaxed));
-  count_.fetch_add(other.count(), std::memory_order_relaxed);
-  AtomicAddDouble(&sum_, other.sum());
+  LowerTo(&min_, other.min_.load(std::memory_order_relaxed));
+  RaiseTo(&max_, other.max_.load(std::memory_order_relaxed));
+  Bump(&count_, other.count());
+  Bump(&sum_, other.sum());
 }
 
 double HistogramMetric::Percentile(double p) const {
@@ -79,7 +85,7 @@ double HistogramMetric::Percentile(double p) const {
   p = std::clamp(p, 0.0, 100.0);
   const double target = p / 100.0 * static_cast<double>(total);
   int64_t seen = 0;
-  for (size_t i = 0; i < buckets_.size(); ++i) {
+  for (size_t i = 0; i < static_cast<size_t>(options_.buckets); ++i) {
     const int64_t in_bucket = BucketCount(i);
     if (in_bucket == 0) {
       continue;

@@ -4,14 +4,17 @@
 // Design (see DESIGN.md §8 "Observability"):
 //   - Registration is by dotted name ("fabric.bytes_sent"); the registry
 //     returns a stable pointer, so hot paths register once (typically at
-//     construction) and then bump a relaxed atomic — no map lookup, no lock.
-//   - Every primitive is safe against concurrent bumps: under the shmem
-//     transport a sender's thread updates receiver-side cells while the
-//     background sampler (src/telemetry/stream.h) reads every registry
-//     mid-run. Counters/gauges are relaxed atomics; histograms use atomic
-//     buckets and CAS min/max, so concurrent reads see an approximate but
-//     tear-free snapshot. The registry maps themselves take a mutex because
-//     VOL vectors register cells mid-run.
+//     construction) and then bump the cell directly — no map lookup, no lock.
+//   - One writer per cell. Every Counter and HistogramMetric is bumped by
+//     exactly one thread at a time (the rank thread that owns the event, or
+//     a caller holding a lock that serializes the writers), so a bump is a
+//     relaxed load plus a relaxed store: no lock prefix, no CAS loop. Other
+//     threads only read — the background sampler (src/telemetry/stream.h)
+//     and the flight recorder snapshot every registry mid-run — and see a
+//     tear-free but approximate snapshot. Cells are aligned to a cache line
+//     so two cells with different writers never share one. The registry
+//     maps themselves take a mutex because VOL vectors register cells
+//     mid-run.
 //   - Every rank gets its own registry (see telemetry.h); Merge() folds the
 //     per-rank registries into a cluster-wide aggregate at run end.
 //   - Counters are monotonic int64 event counts (suffix convention: `_ns`
@@ -35,15 +38,17 @@
 
 namespace malt {
 
-class Counter {
+// A cache-line-sized cell with one writer (see the file comment): Add() is a
+// relaxed load and a relaxed store, so two threads bumping the same counter
+// would lose counts. Readers on any thread see a tear-free value.
+class alignas(64) Counter {
  public:
-  void Add(int64_t delta = 1) { value_.fetch_add(delta, std::memory_order_relaxed); }
+  void Add(int64_t delta = 1) {
+    value_.store(value_.load(std::memory_order_relaxed) + delta, std::memory_order_relaxed);
+  }
   int64_t value() const { return value_.load(std::memory_order_relaxed); }
 
  private:
-  // Relaxed atomic: the simulator serializes all ranks, but under the shmem
-  // transport a sender's thread bumps the receiver's rx cells concurrently
-  // with other senders (exactly the "on real hardware" caveat above).
   std::atomic<int64_t> value_{0};
 };
 
@@ -60,10 +65,12 @@ class Gauge {
 // buckets, so percentiles saturate rather than lose mass. Two histograms
 // merge only if their bucket layouts match.
 //
-// Observe() is wait-free against concurrent observers and readers; readers
-// (Percentile, AppendJson, the sampler) see an approximate snapshot in which
-// count/sum/buckets may momentarily disagree by in-flight samples.
-class HistogramMetric {
+// One writer, like Counter: Observe() and Merge() are relaxed loads and
+// stores with no lock prefix and no CAS loop, so they must not race each
+// other. Readers (Percentile, AppendJson, the sampler) may run on any thread
+// and see an approximate snapshot in which count/sum/buckets may momentarily
+// disagree by the in-flight sample.
+class alignas(64) HistogramMetric {
  public:
   struct Options {
     double lo = 0.0;
@@ -94,11 +101,22 @@ class HistogramMetric {
   const Options& options() const { return options_; }
 
  private:
-  int64_t BucketCount(size_t i) const { return buckets_[i].load(std::memory_order_relaxed); }
+  // Buckets in whole cache lines, so no other cell shares a line with them.
+  static constexpr size_t kBucketsPerLine = 8;
+  struct alignas(64) BucketLine {
+    std::atomic<int64_t> n[kBucketsPerLine] = {};
+  };
+  std::atomic<int64_t>& Bucket(size_t i) {
+    return lines_[i / kBucketsPerLine].n[i % kBucketsPerLine];
+  }
+  int64_t BucketCount(size_t i) const {
+    return lines_[i / kBucketsPerLine].n[i % kBucketsPerLine].load(std::memory_order_relaxed);
+  }
 
   Options options_;
   double width_;
-  std::vector<std::atomic<int64_t>> buckets_;
+  double inv_width_;  // Observe multiplies: no divide on the hot path
+  std::vector<BucketLine> lines_;
   std::atomic<int64_t> count_{0};
   std::atomic<double> sum_{0.0};
   std::atomic<double> min_;  // +inf until the first sample

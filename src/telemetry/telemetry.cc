@@ -80,6 +80,7 @@ int64_t TelemetryDomain::TraceDropped() const {
 }
 
 void TelemetryDomain::SyncTraceDroppedCounters() {
+  MutexLock lock(sync_mu_);
   for (auto& rank : ranks_) {
     Counter* c = rank->metrics.GetCounter("telemetry.trace.dropped");
     const int64_t delta = rank->trace.dropped() - c->value();

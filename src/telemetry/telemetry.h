@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "src/base/mutex.h"
 #include "src/base/status.h"
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/trace.h"
@@ -24,7 +25,8 @@
 namespace malt {
 
 struct TelemetryOptions {
-  // Retained trace events per rank (ring overwrites oldest beyond this).
+  // Retained trace events per rank (ring overwrites oldest beyond this),
+  // rounded up to a power of two.
   size_t trace_capacity = 16384;
   // Emit update-lineage flow events ('s'/'t'/'f') and per-edge delivery
   // histograms for every scatter. On by default; benches turn it off to
@@ -79,14 +81,17 @@ class TelemetryDomain {
 
   // Mirrors each ring's dropped() into that rank's
   // "telemetry.trace.dropped" counter (delta-add, so repeated calls are
-  // idempotent). The sampler calls this every tick; the runtime calls it
-  // once more at run end so exports always carry the loss count.
+  // idempotent). The sampler calls this every tick, the flight recorder's
+  // metrics section at every refresh, and the runtime once more at run end
+  // so exports always carry the loss count; `sync_mu_` makes the caller
+  // holding it the counters' one writer.
   void SyncTraceDroppedCounters();
 
  private:
   std::vector<const TraceRing*> Rings() const;
 
   TelemetryOptions options_;
+  Mutex sync_mu_;
   std::vector<std::unique_ptr<RankTelemetry>> ranks_;
 };
 

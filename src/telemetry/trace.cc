@@ -1,7 +1,9 @@
 #include "src/telemetry/trace.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 
 #include "src/base/log.h"
@@ -9,58 +11,59 @@
 
 namespace malt {
 
-TraceRing::TraceRing(size_t capacity) : buf_(capacity == 0 ? 1 : capacity) {}
-
-void TraceRing::EmitLocked(const TraceEvent& event) {
-  if (size_ == buf_.size()) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);  // overwriting the oldest retained event
-  } else {
-    size_ += 1;
-  }
-  buf_[next_] = event;
-  next_ = (next_ + 1) % buf_.size();
-}
+TraceRing::TraceRing(size_t capacity)
+    : slots_(std::bit_ceil(std::max<size_t>(capacity, 1))), mask_(slots_.size() - 1) {}
 
 void TraceRing::Emit(const TraceEvent& event) {
-  SpinLockHolder lock(mu_);
-  EmitLocked(event);
+  uint64_t words[kEventWords];
+  std::memcpy(words, &event, sizeof(words));
+  const uint64_t index = emitted_.load(std::memory_order_relaxed);  // this thread stores it
+  Slot& slot = slots_[index & mask_];
+  // The seqlock writer, without a read-modify-write (there is one writer):
+  // odd stamp, release fence, the words, even stamp with release.
+  slot.stamp.store(2 * index + 1, std::memory_order_relaxed);
+  std::atomic_thread_fence(std::memory_order_release);
+  for (size_t w = 0; w < kEventWords; ++w) {
+    slot.words[w].store(words[w], std::memory_order_relaxed);
+  }
+  slot.stamp.store(2 * index + 2, std::memory_order_release);
+  emitted_.store(index + 1, std::memory_order_release);
 }
 
-void TraceRing::EmitPair(const TraceEvent& first, const TraceEvent& second) {
-  SpinLockHolder lock(mu_);
-  EmitLocked(first);
-  EmitLocked(second);
+bool TraceRing::Read(uint64_t index, TraceEvent* out) const {
+  const Slot& slot = slots_[index & mask_];
+  const uint64_t stamp = slot.stamp.load(std::memory_order_acquire);
+  if (stamp != 2 * index + 2) {
+    return false;  // being overwritten by, or already holding, a newer event
+  }
+  uint64_t words[kEventWords];
+  for (size_t w = 0; w < kEventWords; ++w) {
+    words[w] = slot.words[w].load(std::memory_order_relaxed);
+  }
+  // Orders the word loads before the validating stamp load.
+  std::atomic_thread_fence(std::memory_order_acquire);
+  if (slot.stamp.load(std::memory_order_relaxed) != stamp) {
+    return false;
+  }
+  std::memcpy(out, words, sizeof(words));
+  return true;
 }
 
-size_t TraceRing::capacity() const {
-  SpinLockHolder lock(mu_);
-  return buf_.size();
-}
-
-size_t TraceRing::size() const {
-  SpinLockHolder lock(mu_);
-  return size_;
-}
-
-void TraceRing::ForEach(const std::function<void(const TraceEvent&)>& fn) const {
-  SpinLockHolder lock(mu_);
-  const size_t oldest = (next_ + buf_.size() - size_) % buf_.size();
-  for (size_t i = 0; i < size_; ++i) {
-    fn(buf_[(oldest + i) % buf_.size()]);
+void TraceRing::ForEach(const std::function<void(const TraceEvent&)>& fn, size_t newest) const {
+  const uint64_t end = Emitted();
+  const uint64_t keep = std::min<uint64_t>({end, capacity(), newest});
+  TraceEvent event;
+  for (uint64_t i = end - keep; i < end; ++i) {
+    if (Read(i, &event)) {
+      fn(event);
+    }
   }
 }
 
-std::vector<TraceEvent> TraceRing::Snapshot() const {
+std::vector<TraceEvent> TraceRing::Snapshot(size_t newest) const {
   std::vector<TraceEvent> out;
-  ForEach([&out](const TraceEvent& e) { out.push_back(e); });
+  ForEach([&out](const TraceEvent& e) { out.push_back(e); }, newest);
   return out;
-}
-
-void TraceRing::Clear() {
-  SpinLockHolder lock(mu_);
-  next_ = 0;
-  size_ = 0;
-  dropped_.store(0, std::memory_order_relaxed);
 }
 
 namespace {

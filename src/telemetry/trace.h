@@ -7,10 +7,14 @@
 // oldest event is overwritten and `dropped()` counts the loss, so a long run
 // keeps its newest window instead of failing or growing without bound.
 //
-// Thread safety: Emit/ForEach/Snapshot/Clear take an internal spinlock. Under
-// the shmem transport a sender's thread emits receiver-side apply events into
-// the receiver's ring concurrently with the receiver's own phase spans, and
-// the background sampler reads `dropped()` while ranks are still emitting.
+// Thread safety: one writer per ring. Only the owning rank's thread emits
+// into its ring — a sender logs the receiver-side apply of its own write into
+// its OWN ring, tagged with the receiver's track (TraceEvent::tid) — so Emit
+// is a handful of relaxed stores: no lock, no lock prefix, no divide (the
+// capacity is a power of two). Readers may run on any thread, mid-run too
+// (the flight recorder's trace_tail section renders from the watchdog and
+// sampler threads): each slot carries a sequence stamp, and a reader drops an
+// event the writer was overwriting while it copied.
 //
 // Flow events: a logical update (one PostObject) is stitched across rank
 // timelines by emitting 's' (flow start, sender), 't' (flow step, receiver
@@ -28,6 +32,7 @@
 #ifndef SRC_TELEMETRY_TRACE_H_
 #define SRC_TELEMETRY_TRACE_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -35,9 +40,7 @@
 #include <string>
 #include <vector>
 
-#include "src/base/mutex.h"
 #include "src/base/status.h"
-#include "src/base/thread_annotations.h"
 #include "src/base/time_units.h"
 
 namespace malt {
@@ -73,13 +76,11 @@ constexpr uint64_t MakeFlowId(int src, int dst, uint32_t rkey, uint64_t seq) {
 
 class TraceRing {
  public:
+  // `capacity` is rounded up to a power of two (at least 1).
   explicit TraceRing(size_t capacity = 16384);
 
+  // Owner thread only (see the file comment).
   void Emit(const TraceEvent& event);
-  // Two events under one lock acquisition — the shmem apply path emits an
-  // 'X' slice plus its 't' flow step per one-sided write, and paying the
-  // lock once keeps the tracing overhead inside the throughput budget.
-  void EmitPair(const TraceEvent& first, const TraceEvent& second);
   void Begin(const char* name, SimTime ts) { Emit({name, 'B', ts, 0, nullptr, 0, 0}); }
   void End(const char* name, SimTime ts) { Emit({name, 'E', ts, 0, nullptr, 0, 0}); }
   void Instant(const char* name, SimTime ts) { Emit({name, 'i', ts, 0, nullptr, 0, 0}); }
@@ -101,30 +102,45 @@ class TraceRing {
     Emit({name, 'f', ts, 0, "iter", iter, flow_id});
   }
 
-  size_t capacity() const;
-  size_t size() const;
-  int64_t dropped() const { return dropped_.load(std::memory_order_relaxed); }
+  size_t capacity() const { return slots_.size(); }
+  size_t size() const { return static_cast<size_t>(std::min<uint64_t>(Emitted(), capacity())); }
+  // Events overwritten so far.
+  int64_t dropped() const {
+    const uint64_t emitted = Emitted();
+    return emitted > capacity() ? static_cast<int64_t>(emitted - capacity()) : 0;
+  }
   bool empty() const { return size() == 0; }
 
-  // Visits retained events oldest-first (emission order; per-rank timestamps
-  // are monotone, so this is also SimTime order). Holds the ring lock for the
-  // whole walk: callbacks must not re-enter the same ring.
-  void ForEach(const std::function<void(const TraceEvent&)>& fn) const;
-  std::vector<TraceEvent> Snapshot() const;
-  void Clear();
+  // Visits the newest `newest` retained events (all by default) oldest-first
+  // (emission order; per-rank timestamps are monotone, so this is also
+  // SimTime order). Safe from any thread: an event overwritten during the
+  // walk is skipped, so only a mid-run walk can miss events.
+  void ForEach(const std::function<void(const TraceEvent&)>& fn,
+               size_t newest = SIZE_MAX) const;
+  std::vector<TraceEvent> Snapshot(size_t newest = SIZE_MAX) const;
+  // Owner thread only, with no concurrent reader.
+  void Clear() { emitted_.store(0, std::memory_order_release); }
 
  private:
-  void EmitLocked(const TraceEvent& event) MALT_REQUIRES(mu_);
+  static constexpr size_t kEventWords = sizeof(TraceEvent) / sizeof(uint64_t);
+  static_assert(sizeof(TraceEvent) == kEventWords * sizeof(uint64_t));
+  // A sequence-stamped slot: `stamp` is 2i+1 while event i is being written
+  // and 2i+2 once it is whole. The event is stored as relaxed words, so a
+  // reader racing the writer copies defined (possibly mixed) words and the
+  // stamp tells it whether to keep them.
+  struct Slot {
+    std::atomic<uint64_t> stamp{0};
+    std::atomic<uint64_t> words[kEventWords] = {};
+  };
 
-  // malt::SpinLock (annotated; see src/base/mutex.h for why a spinlock): the
-  // shmem hot path takes this lock several times per traced one-sided write,
-  // from multiple sender threads into one receiver ring, and the critical
-  // section is a few stores.
-  mutable SpinLock mu_;
-  std::vector<TraceEvent> buf_ MALT_GUARDED_BY(mu_);
-  size_t next_ MALT_GUARDED_BY(mu_) = 0;  // slot the next emit writes
-  size_t size_ MALT_GUARDED_BY(mu_) = 0;
-  std::atomic<int64_t> dropped_{0};
+  uint64_t Emitted() const { return emitted_.load(std::memory_order_acquire); }
+  // Copies event `index` out of its slot; false if it was overwritten.
+  bool Read(uint64_t index, TraceEvent* out) const;
+
+  std::vector<Slot> slots_;
+  const uint64_t mask_;
+  // Events emitted since construction (or Clear); stored by the writer only.
+  alignas(64) std::atomic<uint64_t> emitted_{0};
 };
 
 // Renders `rings` (tid = index) as one Chrome trace_event JSON array. Every

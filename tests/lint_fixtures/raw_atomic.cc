@@ -28,5 +28,4 @@ class BadRing {
   std::atomic<uint64_t> head_{0};       // EXPECT-LINT(raw-atomic)
   std::atomic_flag raw_flag_ = ATOMIC_FLAG_INIT;  // EXPECT-LINT(raw-atomic)
   std::atomic<bool> escape_{false};  // NOLINT(malt-api) exemption escape hatch
-  malt::mc::atomic_flag flag_;
 };

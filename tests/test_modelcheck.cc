@@ -35,7 +35,7 @@ TEST(ModelCheck, DfsExhaustsSeqlockCleanly) {
 }
 
 TEST(ModelCheck, DfsExhaustsOverflowAndKillHarnesses) {
-  for (const char* name : {"seqlock_overflow", "rankctx_kill", "spinlock_2t"}) {
+  for (const char* name : {"seqlock_overflow", "rankctx_kill"}) {
     const ExploreResult result = ExploreDfs(MakeHarness(name), DfsOptions{});
     EXPECT_TRUE(result.complete) << name;
     EXPECT_FALSE(result.violation) << name << ": " << result.message;

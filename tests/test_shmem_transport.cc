@@ -1,7 +1,8 @@
 // ShmemTransport tests: one-sided writes land as real memcpys with inline
 // completions, dead peers produce error completions, bad handles produce
 // kInvalidRkey, striped seqlock guards detect torn reads under a racing
-// writer, and TrafficStats aggregates across the matrix. Threaded cases run
+// writer, TrafficStats aggregates across the matrix, and every telemetry
+// cell stays exact under concurrent senders. Threaded cases run
 // clean under TSan (tools/check.sh MALT_SANITIZE=thread stage).
 
 #include "src/shmem/shmem_transport.h"
@@ -220,6 +221,86 @@ TEST(ShmemTransport, TrafficStatsTotalsAggregateAllPairs) {
   EXPECT_EQ(t.stats().TotalMessages(), expect_msgs);
   EXPECT_EQ(t.stats().TxBytes(0), int64_t{2} * sizeof(payload));
   EXPECT_EQ(t.stats().RxBytes(2), int64_t{2} * sizeof(payload));
+}
+
+// Every telemetry cell a post bumps has one writer, the sender's thread
+// (DESIGN.md §8). With all 4 nodes posting to every peer at once, each
+// fabric.* and comm.edge.* cell, the write_bytes histogram, the apply events
+// in each sender's trace ring and every TrafficStats total must come out
+// exact: a cell two senders bump would lose counts to the race.
+TEST(ShmemTransport, ConcurrentPostsKeepEveryCellExact) {
+  constexpr int kNodes = 4;
+  constexpr int64_t kWritesPerPeer = 20000;
+  constexpr int64_t kPeers = kNodes - 1;
+  ShmemTransport t(kNodes);
+  MrHandle mr[kNodes];
+  for (int node = 0; node < kNodes; ++node) {
+    mr[node] = t.RegisterMemory(node, 32 * kNodes);
+  }
+  // Sender `src` writes 8 * (src + 1) bytes into its own 32-byte window.
+  auto bytes_of = [](int src) { return int64_t{8} * (src + 1); };
+
+  std::vector<std::thread> senders;
+  for (int src = 0; src < kNodes; ++src) {
+    senders.emplace_back([&, src] {
+      const std::vector<std::byte> payload(static_cast<size_t>(bytes_of(src)), std::byte{1});
+      Completion c[4];
+      for (int64_t k = 0; k < kWritesPerPeer; ++k) {
+        for (int dst = 0; dst < kNodes; ++dst) {
+          if (dst == src) {
+            continue;
+          }
+          const WireTrace trace{MakeFlowId(src, dst, mr[dst].rkey, static_cast<uint64_t>(k + 1)),
+                                static_cast<uint32_t>(k), t.now()};
+          ASSERT_TRUE(t.PostWrite(src, t.now(), mr[dst], static_cast<size_t>(32 * src), payload,
+                                  trace)
+                          .ok());
+          ASSERT_EQ(t.PollCq(src, c), 1);
+        }
+      }
+    });
+  }
+  for (std::thread& s : senders) {
+    s.join();
+  }
+
+  int64_t total_bytes = 0;
+  for (int src = 0; src < kNodes; ++src) {
+    const MetricRegistry& reg = t.telemetry().rank(src).metrics;
+    const int64_t posts = kPeers * kWritesPerPeer;
+    const int64_t sent = posts * bytes_of(src);
+    EXPECT_EQ(reg.CounterValue("fabric.writes_posted"), posts) << src;
+    EXPECT_EQ(reg.CounterValue("fabric.bytes_sent"), sent) << src;
+    EXPECT_EQ(Completions(t, src, "success"), posts) << src;
+    const HistogramMetric* write_bytes = reg.FindHistogram("fabric.write_bytes");
+    ASSERT_NE(write_bytes, nullptr);
+    EXPECT_EQ(write_bytes->count(), posts) << src;
+    EXPECT_EQ(write_bytes->sum(), static_cast<double>(sent)) << src;
+    // Two apply events (the slice and its flow step) per traced write.
+    const TraceRing& ring = t.telemetry().rank(src).trace;
+    EXPECT_EQ(static_cast<int64_t>(ring.size()) + ring.dropped(), 2 * posts) << src;
+    EXPECT_EQ(t.stats().TxBytes(src), sent) << src;
+    EXPECT_EQ(t.stats().TxMessages(src), posts) << src;
+    total_bytes += sent;
+
+    const int dst = src;  // the edges into this node live in its registry
+    int64_t received = 0;
+    for (int from = 0; from < kNodes; ++from) {
+      if (from == dst) {
+        continue;
+      }
+      EXPECT_EQ(reg.CounterValue(EdgeMetricName(from, dst, "bytes")),
+                kWritesPerPeer * bytes_of(from));
+      EXPECT_EQ(reg.CounterValue(EdgeMetricName(from, dst, "msgs")), kWritesPerPeer);
+      const HistogramMetric* delivery = reg.FindHistogram(EdgeMetricName(from, dst, "delivery_ns"));
+      ASSERT_NE(delivery, nullptr);
+      EXPECT_EQ(delivery->count(), kWritesPerPeer);
+      received += kWritesPerPeer * bytes_of(from);
+    }
+    EXPECT_EQ(t.stats().RxBytes(dst), received) << dst;
+  }
+  EXPECT_EQ(t.stats().TotalBytes(), total_bytes);
+  EXPECT_EQ(t.stats().TotalMessages(), kNodes * kPeers * kWritesPerPeer);
 }
 
 TEST(ShmemTransportDeathTest, RegionIndexOverflowAbortsAtRegistration) {

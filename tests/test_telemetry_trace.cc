@@ -1,12 +1,15 @@
-// Trace ring semantics: bounded capacity with oldest-first overwrite,
-// SimTime ordering of the export, and Chrome trace_event JSON validity.
+// Trace ring semantics: bounded power-of-two capacity with oldest-first
+// overwrite, whole events for a reader racing the writer, SimTime ordering
+// of the export, and Chrome trace_event JSON validity.
 
 #include "src/telemetry/trace.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace malt {
@@ -48,6 +51,69 @@ TEST(Trace, ClearResets) {
   ring.Clear();
   EXPECT_TRUE(ring.empty());
   EXPECT_EQ(ring.size(), 0u);
+}
+
+TEST(Trace, CapacityRoundsUpToAPowerOfTwo) {
+  EXPECT_EQ(TraceRing(0).capacity(), 1u);
+  EXPECT_EQ(TraceRing(5).capacity(), 8u);
+  EXPECT_EQ(TraceRing(16).capacity(), 16u);
+  TraceRing ring(5);
+  for (int i = 0; i < 10; ++i) {
+    ring.Instant("tick", i);
+  }
+  EXPECT_EQ(ring.size(), 8u);
+  EXPECT_EQ(ring.dropped(), 2);
+}
+
+TEST(Trace, SnapshotOfTheNewestEvents) {
+  TraceRing ring(8);
+  for (int i = 0; i < 6; ++i) {
+    ring.Instant("tick", i);
+  }
+  std::vector<SimTime> ts;
+  for (const TraceEvent& e : ring.Snapshot(2)) {
+    ts.push_back(e.ts);
+  }
+  EXPECT_EQ(ts, (std::vector<SimTime>{4, 5}));
+  EXPECT_EQ(ring.Snapshot(100).size(), 6u);
+}
+
+// The flight recorder renders a ring's tail from another thread while the
+// owner keeps emitting. Every event the reader keeps must be whole and in
+// emission order; TSan runs this through the shmem label.
+TEST(Trace, ConcurrentReaderKeepsOnlyWholeEventsInOrder) {
+  constexpr int64_t kEvents = 200000;
+  TraceRing ring(64);
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (int64_t i = 0; i < kEvents; ++i) {
+      ring.Emit({"tick", 'X', i, 3 * i, "i", i, static_cast<uint64_t>(7 * i),
+                 static_cast<int32_t>(i % 5)});
+    }
+    done.store(true, std::memory_order_release);
+  });
+  int64_t kept = 0;
+  int64_t bad = 0;
+  auto check = [&](const TraceEvent& e, SimTime* last) {
+    const bool whole = e.ph == 'X' && e.dur == 3 * e.ts && e.arg == e.ts &&
+                       e.flow_id == static_cast<uint64_t>(7 * e.ts) && e.tid == e.ts % 5;
+    bad += !whole || e.ts <= *last;
+    *last = e.ts;
+    ++kept;
+  };
+  while (!done.load(std::memory_order_acquire)) {
+    SimTime last = -1;
+    ring.ForEach([&](const TraceEvent& e) { check(e, &last); }, 16);
+  }
+  writer.join();
+  EXPECT_EQ(bad, 0);
+  // Once the writer is done, nothing is skipped: the newest 64 events.
+  SimTime last = -1;
+  const int64_t before = kept;
+  ring.ForEach([&](const TraceEvent& e) { check(e, &last); });
+  EXPECT_EQ(kept - before, 64);
+  EXPECT_EQ(last, kEvents - 1);
+  EXPECT_EQ(ring.dropped(), kEvents - 64);
 }
 
 TEST(Trace, ChromeExportHasRequiredKeysPerEvent) {

@@ -20,7 +20,7 @@
 #   4. ctest -L analysis — the protocol-checker test suite.
 #   4b. model check   — cmake -DMALT_MODELCHECK=ON build, then ctest -L
 #                      modelcheck: exhaustive DFS over the tiny seqlock,
-#                      spinlock, shmem publish and rank-kill configs, a
+#                      shmem publish and rank-kill configs, a
 #                      fixed-seed PCT sweep, and the planted-bug
 #                      mutation matrix with deterministic replay
 #                      (tools/malt_mc --selftest + tests/test_modelcheck).
@@ -43,8 +43,8 @@
 #                      threads), the simulator engine's fiber switches and the
 #                      parallel dataset generator under
 #                      ThreadSanitizer, plus an 8-rank malt_run with the 50ms
-#                      metrics sampler racing the workers; any data race
-#                      fails the gate.
+#                      metrics sampler and the flight recorder's trace_tail
+#                      racing the workers; any data race fails the gate.
 #   8. ASan build + full ctest — the whole suite under AddressSanitizer with
 #                      LeakSanitizer on; any bad access or leak fails the
 #                      gate.
@@ -237,7 +237,7 @@ else
   if cmake -B "$TSAN_BUILD_DIR" -S "$REPO" -DMALT_SANITIZE=thread >/dev/null \
      && cmake --build "$TSAN_BUILD_DIR" -j "$JOBS" \
           --target test_base_seqlock test_shmem_transport test_shmem_dstorm test_shmem_runtime \
-                   test_check_shmem test_telemetry_flow test_telemetry_stream \
+                   test_check_shmem test_telemetry_trace test_telemetry_flow test_telemetry_stream \
                    test_telemetry_health test_telemetry_flightrec test_sim_engine test_ml_dataset \
                    malt_run \
           > /tmp/malt_check_tsan_build.log 2>&1; then
@@ -253,11 +253,14 @@ else
     fi
     # Observability acceptance run: 8 concurrent rank threads with flow
     # tracing on and the wall-clock NDJSON sampler racing them at 50ms,
-    # under TSan — the sampler reads every counter the workers write.
+    # under TSan — the sampler reads every counter the workers write, and
+    # with a postmortem path it also renders the flight recorder's
+    # trace_tail from the rings the workers are emitting into.
     note "malt_run 8-rank shmem + 50ms sampler (ThreadSanitizer)"
     if TSAN_OPTIONS="halt_on_error=1" "$TSAN_BUILD_DIR/tools/malt_run" \
          --app=svm --ranks=8 --epochs=3 --transport=shmem \
          --metrics_interval_ms=50 --metrics_stream=/tmp/malt_check_stream.ndjson \
+         --postmortem_out=/tmp/malt_check_postmortem.ndjson \
          --trace_out=/tmp/malt_check_trace_shmem.json; then
       echo "TSan sampler run OK (stream: /tmp/malt_check_stream.ndjson)"
     else

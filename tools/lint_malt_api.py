@@ -40,7 +40,7 @@ Rules:
                   the mc:: shim (src/base/mc.h), so the interleaving checker
                   would not see those sync points and its exhaustive runs
                   would silently under-approximate. Use
-                  mc::atomic<T>, mc::atomic_flag, mc::Fence, and the mc::
+                  mc::atomic<T>, mc::Fence, and the mc::
                   word-atomic helpers. std::memory_order tokens are fine —
                   they parameterize the shim, they do not bypass it.
   engine-include  dstorm, VOL, the fault monitor, the apps and the baselines

@@ -192,7 +192,8 @@ int main(int argc, char** argv) {
   const std::string trace_out =
       flags.GetString("trace_out", "", "write a Chrome trace_event JSON here");
   const int trace_capacity = static_cast<int>(
-      flags.GetInt("trace_capacity", 16384, "retained trace events per rank"));
+      flags.GetInt("trace_capacity", 16384,
+                   "retained trace events per rank (rounded up to a power of two)"));
   const int flow_events = static_cast<int>(
       flags.GetInt("flow_events", 1, "tag one-sided writes with flow trace context (0 to disable)"));
   const int metrics_interval_ms = static_cast<int>(flags.GetInt(
