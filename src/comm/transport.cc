@@ -1,5 +1,7 @@
 #include "src/comm/transport.h"
 
+#include <cstring>
+
 #include "src/base/log.h"
 
 namespace malt {
@@ -126,6 +128,20 @@ void Transport::RecordApply(int src, int dst, const WireTrace& trace, SimTime no
   ring.Emit({kFlowUpdateName, 't', now, 0, "iter", static_cast<int64_t>(trace.iter),
              trace.flow_id, dst});
   Edge(src, dst).delivery_ns->Observe(static_cast<double>(now - trace.sent_at));
+}
+
+bool Transport::Read(MrHandle mr, size_t offset, std::span<std::byte> out) const {
+  if (out.empty()) {
+    return true;
+  }
+  const std::span<const std::byte> view = Snapshot(mr, offset, out.size(), out);
+  if (view.empty()) {
+    return false;
+  }
+  if (view.data() != out.data()) {
+    std::memcpy(out.data(), view.data(), out.size());
+  }
+  return true;
 }
 
 int Transport::PollCq(int node, std::span<Completion> out) {

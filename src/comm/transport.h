@@ -135,27 +135,38 @@ class Transport {
 
   // Registers `bytes` of transport-owned memory on `node`; the region is
   // remotely writable by any peer holding the handle. `guard_stripe_bytes`
-  // is a concurrency hint for backends with real parallelism: nonzero means
-  // writers touch disjoint stripe-aligned windows of that size (dstorm's
-  // per-sender slots), and each stripe gets its own SeqLock so Read() can
-  // detect in-flight overwrites. 0 means no striped guard (regions of
-  // single-word writes). The simulator ignores the hint.
+  // says writers touch disjoint stripe-aligned windows of that size
+  // (dstorm's per-sender slots); 0 means no stripes (regions of single-word
+  // writes). The shmem backend gives each stripe its own SeqLock, so
+  // Snapshot() can detect in-flight overwrites. The simulator keeps each
+  // stripe in its own buffer, so a stripe-aligned write lands by swapping in
+  // the buffer its post filled (see Fabric).
   virtual MrHandle RegisterMemory(int node, size_t bytes, size_t guard_stripe_bytes) = 0;
   MrHandle RegisterMemory(int node, size_t bytes) { return RegisterMemory(node, bytes, 0); }
 
   // De-registers (further writes fail with kInvalidRkey).
   virtual void DeregisterMemory(MrHandle mr) = 0;
 
-  // Raw local access to a region's bytes. Only safe when no remote writer
-  // can race (single-threaded simulation, or post-join inspection); live
-  // shmem readers must go through Read().
-  virtual std::span<std::byte> Data(MrHandle mr) = 0;
+  // The `len` bytes of the region at `offset`, as of now (a local read by
+  // the region's owner; no network). The simulator returns a view of the
+  // region itself when the range lies in one stripe, and otherwise copies
+  // into `scratch`; the shmem backend always copies into `scratch` under
+  // the stripe guards and returns an empty span when a concurrent remote
+  // write was detected mid-read: the caller treats the range as torn and
+  // retries or skips. `scratch` must hold `len` bytes and `len` must be
+  // positive. A returned view stays valid only until the region's next
+  // write; ViewGeneration() tells whether one happened.
+  [[nodiscard]] virtual std::span<const std::byte> Snapshot(MrHandle mr, size_t offset, size_t len,
+                                                            std::span<std::byte> scratch) const = 0;
 
-  // Copies `out.size()` bytes from the region into `out` (a local read by
-  // the region's owner; no network). Returns false when a concurrent remote
-  // write was detected mid-read — the caller treats the range as torn and
-  // retries or skips. The simulator always returns true.
-  [[nodiscard]] virtual bool Read(MrHandle mr, size_t offset, std::span<std::byte> out) const = 0;
+  // Copies `out.size()` bytes of the region at `offset` into `out` through
+  // Snapshot. Returns false when the read was torn (shmem only).
+  [[nodiscard]] bool Read(MrHandle mr, size_t offset, std::span<std::byte> out) const;
+
+  // Advances on every write that can change bytes behind a view Snapshot
+  // returned earlier. The shmem backend's snapshots are private copies, so
+  // it stays 0 there.
+  virtual uint64_t ViewGeneration() const { return 0; }
 
   // Stores `data` into the region locally (the owner updating its own
   // segment, e.g. its barrier counter slot), with the same guard/atomicity

@@ -40,7 +40,7 @@ enum class SlotState : uint8_t {
   kValid,        // consistent: stamps equal and nonzero (ReadHeader: a candidate)
   kEmpty,        // never written, or header mid-write
   kStale,        // header stamp <= the reader's last consumed: nothing new
-  kTornRead,     // Transport::Read saw an overwrite in flight (shmem only)
+  kTornRead,     // Transport::Snapshot saw an overwrite in flight (shmem only)
   kTornStamps,   // stamps differ, or the front moved past the header's: a write landed
 };
 
@@ -57,13 +57,14 @@ struct SlotHeader {
 // so it never sees kStale.
 SlotState ReadHeader(const Transport& transport, MrHandle mr, size_t base_off, size_t obj_bytes,
                      uint64_t last_consumed, SlotHeader* out) {
-  std::byte header[kPayloadOff];
-  if (!transport.Read(mr, base_off, header)) {
+  std::byte scratch[kPayloadOff];
+  const std::span<const std::byte> header = transport.Snapshot(mr, base_off, kPayloadOff, scratch);
+  if (header.empty()) {
     return SlotState::kTornRead;
   }
-  out->seq_front = LoadU64(header + kSeqFrontOff);
-  out->iter = LoadU32(header + kIterOff);
-  out->bytes = LoadU32(header + kBytesOff);
+  out->seq_front = LoadU64(header.data() + kSeqFrontOff);
+  out->iter = LoadU32(header.data() + kIterOff);
+  out->bytes = LoadU32(header.data() + kBytesOff);
   if (out->seq_front == 0 || out->bytes > obj_bytes) {
     return SlotState::kEmpty;
   }
@@ -74,30 +75,31 @@ SlotState ReadHeader(const Transport& transport, MrHandle mr, size_t base_off, s
   return SlotState::kValid;
 }
 
-// The tail half, for a candidate `h` from ReadHeader. With `snap` null it
+// The tail half, for a candidate `h` from ReadHeader. With `image` null it
 // reads only the back stamp behind h's payload (the FreshAvailable /
-// PeerIteration polls). Otherwise (Gather) it copies header + payload + back
-// stamp into `snap` in one Transport::Read, atomic against a write since a
-// slot is one guard stripe, and the slot is valid only if the snapshot's
-// front stamp is still h's and equals its back stamp: after a shorter
-// object overwrites the slot, the longer one's back stamp survives past the
-// new trailer. On return `h` holds the stamps seen.
-SlotState ReadTail(const Transport& transport, MrHandle mr, size_t base_off, std::byte* snap,
-                   SlotHeader* h) {
+// PeerIteration polls). Otherwise (Gather) it takes header + payload + back
+// stamp in one Transport::Snapshot, atomic against a write since a slot is
+// one guard stripe, and sets `*image` to it: a view of the slot on the
+// simulator, a copy in `scratch` on shmem. The slot is valid only if the
+// image's front stamp is still h's and equals its back stamp: after a
+// shorter object overwrites the slot, the longer one's back stamp survives
+// past the new trailer. On return `h` holds the stamps seen.
+SlotState ReadTail(const Transport& transport, MrHandle mr, size_t base_off,
+                   std::span<std::byte> scratch, SlotHeader* h,
+                   std::span<const std::byte>* image) {
   const size_t back_off = kPayloadOff + h->bytes;
-  std::byte trailer[sizeof(uint64_t)];
-  const bool read =
-      snap != nullptr
-          ? transport.Read(mr, base_off, std::span<std::byte>(snap, back_off + sizeof(uint64_t)))
-          : transport.Read(mr, base_off + back_off, trailer);
-  if (!read) {
+  const size_t from = image != nullptr ? 0 : back_off;
+  const std::span<const std::byte> view =
+      transport.Snapshot(mr, base_off + from, back_off + sizeof(uint64_t) - from, scratch);
+  if (view.empty()) {
     return SlotState::kTornRead;
   }
   const uint64_t candidate = h->seq_front;
-  if (snap != nullptr) {
-    h->seq_front = LoadU64(snap + kSeqFrontOff);
+  if (image != nullptr) {
+    *image = view;
+    h->seq_front = LoadU64(view.data() + kSeqFrontOff);
   }
-  h->seq_back = LoadU64(snap != nullptr ? snap + back_off : trailer);
+  h->seq_back = LoadU64(view.data() + back_off - from);
   return h->seq_front == candidate && h->seq_front == h->seq_back ? SlotState::kValid
                                                                   : SlotState::kTornStamps;
 }
@@ -106,7 +108,9 @@ SlotState ReadTail(const Transport& transport, MrHandle mr, size_t base_off, std
 SlotState PollSlot(const Transport& transport, MrHandle mr, size_t base_off, size_t obj_bytes,
                    uint64_t last_consumed, SlotHeader* h) {
   const SlotState state = ReadHeader(transport, mr, base_off, obj_bytes, last_consumed, h);
-  return state == SlotState::kValid ? ReadTail(transport, mr, base_off, nullptr, h) : state;
+  std::byte trailer[sizeof(uint64_t)];
+  return state == SlotState::kValid ? ReadTail(transport, mr, base_off, trailer, h, nullptr)
+                                    : state;
 }
 
 }  // namespace
@@ -363,7 +367,7 @@ int Dstorm::Gather(SegmentId seg, const std::function<void(const RecvObject&)>& 
 
   const auto& in_edges = s.options.graph.InEdges(rank_);
   const int depth = s.options.queue_depth;
-  std::byte* const snap = s.snapshot.data();
+  const std::span<std::byte> scratch(s.snapshot);
   int64_t bytes_copied = 0;
   for (size_t pos = 0; pos < in_edges.size(); ++pos) {
     const int sender = in_edges[pos];
@@ -396,17 +400,21 @@ int Dstorm::Gather(SegmentId seg, const std::function<void(const RecvObject&)>& 
     std::sort(fresh, fresh + fresh_count, [](const Candidate& a, const Candidate& b) {
       return a.h.seq_front < b.h.seq_front;
     });
-    // Step 2, oldest first: one snapshot read per candidate, consumed before
-    // the next read reuses the buffer.
+    // Step 2, oldest first: one snapshot per candidate, consumed before the
+    // next one is taken.
     for (int i = 0; i < fresh_count; ++i) {
       SlotHeader h = fresh[i].h;
       if (max_iter >= 0 && static_cast<int64_t>(h.iter) > max_iter) {
         break;  // a later round's object: it and everything newer stay queued
       }
       const int slot = fresh[i].slot;
+      std::span<const std::byte> image;
       const SlotState state = ReadTail(*transport_, s.recv_mr,
-                                       SlotOffset(s, static_cast<int>(pos), slot), snap, &h);
-      bytes_copied += static_cast<int64_t>(kPayloadOff + h.bytes + sizeof(uint64_t));
+                                       SlotOffset(s, static_cast<int>(pos), slot), scratch, &h,
+                                       &image);
+      if (image.data() == scratch.data()) {
+        bytes_copied += static_cast<int64_t>(image.size());
+      }
       if (state != SlotState::kValid) {
         c_torn_skipped_->Add(1);
         if (checking && state == SlotState::kTornStamps) {
@@ -420,7 +428,7 @@ int Dstorm::Gather(SegmentId seg, const std::function<void(const RecvObject&)>& 
       RecvObject obj;
       obj.sender = sender;
       obj.iter = h.iter;
-      obj.bytes = std::span<const std::byte>(snap + kPayloadOff, h.bytes);
+      obj.bytes = image.subspan(kPayloadOff, h.bytes);
       if (checking) {
         checker.OnSlotRead(rank_, s.recv_mr.rkey, static_cast<int>(pos), slot, seq, seq,
                            obj.iter, obj.bytes, ProtocolChecker::ReadAction::kConsumed, check_now);
@@ -433,7 +441,14 @@ int Dstorm::Gather(SegmentId seg, const std::function<void(const RecvObject&)>& 
                                      MakeFlowId(sender, rank_, s.recv_mr.rkey, seq),
                                      static_cast<int64_t>(obj.iter));
       }
+      // On the simulator obj.bytes views the receive slot itself, which the
+      // next write into the region replaces: a consume that yields to the
+      // engine would read (or keep) freed bytes.
+      const uint64_t generation = transport_->ViewGeneration();
       consume(obj);
+      MALT_CHECK(transport_->ViewGeneration() == generation)
+          << "rank " << rank_ << ": a write landed while Gather's consume callback held sender "
+          << sender << "'s object; consume must not yield";
       // Stamps skipped since the last consume were lost to overwrite-on-full.
       if (seq > last_consumed + 1) {
         c_overwrites_->Add(static_cast<int64_t>(seq - last_consumed - 1));

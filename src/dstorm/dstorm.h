@@ -19,7 +19,8 @@
 //      <= the sender's last consumed stamp) are decided here and never
 //      copied;
 //   2. oldest fresh stamp first, each candidate's header + payload + back
-//      stamp in one Transport::Read into the segment's one snapshot buffer.
+//      stamp in one Transport::Snapshot: a view of the slot on the
+//      simulator, a copy into the segment's one scratch buffer on shmem.
 //      A slot is one guard stripe, so the read is atomic against a write;
 //      the snapshot is consumed only if its front stamp is still the
 //      candidate's and equals its back stamp, and the consume callback runs
@@ -33,9 +34,9 @@
 // dstorm is transport-agnostic: it programs against Transport/RankCtx
 // (src/comm/transport.h) and runs unchanged over the discrete-event simulator
 // (src/simnet: Fabric + its RankCtx) or real concurrent threads
-// (src/shmem: ShmemTransport + ShmemRankCtx). All receive-side polling goes through Transport::Read, which
-// reports concurrent overwrites as torn — on the simulator it degenerates to
-// a plain copy.
+// (src/shmem: ShmemTransport + ShmemRankCtx). All receive-side polling goes
+// through Transport::Snapshot, which reports concurrent overwrites as torn —
+// on the simulator it degenerates to a view of the region.
 
 #ifndef SRC_DSTORM_DSTORM_H_
 #define SRC_DSTORM_DSTORM_H_
@@ -68,9 +69,12 @@ struct SegmentOptions {
 struct RecvObject {
   int sender = -1;
   uint32_t iter = 0;  // sender's iteration stamp
-  // Points into the segment's snapshot buffer, which the next slot's read
-  // overwrites: valid only inside the consume callback. Fold (or copy) it
-  // there.
+  // Valid inside the consume callback, which must not yield (no Advance,
+  // Wait or Yield on the rank's context, so no ChargeFlops either). On the
+  // simulator it views the receive slot itself, which the next write into
+  // the region replaces, and Gather aborts if a write landed while the
+  // callback ran; on shmem it points into the segment's scratch buffer,
+  // which the next slot's read overwrites. Fold (or copy) it there.
   std::span<const std::byte> bytes;
 };
 
@@ -206,9 +210,10 @@ class alignas(64) Dstorm {
     std::vector<uint64_t> next_send_seq;    // per receiver: my next stamp
     std::vector<int> next_send_slot;        // per receiver: my next slot index
     std::vector<uint64_t> last_consumed;    // per sender: newest consumed stamp
-    // Gather's one slot-stride snapshot buffer, reused for every fresh slot;
-    // RecvObject::bytes points into it. dstorm.gather_bytes_copied counts
-    // the bytes read into it.
+    // Gather's one slot-stride scratch buffer for Transport::Snapshot,
+    // reused for every fresh slot; on shmem RecvObject::bytes points into
+    // it. dstorm.gather_bytes_copied counts the bytes copied into it (none
+    // on the simulator, whose snapshots are views).
     std::vector<std::byte> snapshot;
   };
 

@@ -53,18 +53,12 @@ ShmemTransport::Region* ShmemTransport::FindRegion(MrHandle mr) const {
       std::memory_order_acquire);
 }
 
-std::span<std::byte> ShmemTransport::Data(MrHandle mr) {
-  Region* region = FindRegion(mr);
-  MALT_CHECK(region != nullptr) << "data access through invalid handle";
-  return std::span<std::byte>(region->bytes.data(), region->bytes.size());
-}
-
 void ShmemTransport::GuardedStore(Region& region, size_t offset,
                                   std::span<const std::byte> data) {
   if (region.stripe_bytes == 0 || data.empty()) {
     // Release fence: an unguarded store acts as a publish (barrier counters,
     // probe stamps) — prior writes by this thread must be visible to a
-    // reader that observes it (Read's acquire fence is the other half).
+    // reader that observes it (Snapshot's acquire fence is the other half).
     // Mutation kShmemPublishFenceDropped removes the fence, letting earlier
     // payload stores surface after the publish.
     if (!MALT_MC_MUTATE(kShmemPublishFenceDropped)) {
@@ -86,20 +80,23 @@ void ShmemTransport::GuardedStore(Region& region, size_t offset,
   }
 }
 
-bool ShmemTransport::Read(MrHandle mr, size_t offset, std::span<std::byte> out) const {
+std::span<const std::byte> ShmemTransport::Snapshot(MrHandle mr, size_t offset, size_t len,
+                                                    std::span<std::byte> scratch) const {
   Region* region = FindRegion(mr);
   MALT_CHECK(region != nullptr) << "read through invalid handle";
-  MALT_CHECK(offset + out.size() <= region->bytes.size())
+  MALT_CHECK(offset + len <= region->bytes.size())
       << "read past region end (rkey " << mr.rkey << ")";
-  if (region->stripe_bytes == 0 || out.empty()) {
-    AtomicLoadBytes(out.data(), region->bytes.data() + offset, out.size());
+  MALT_CHECK(len <= scratch.size()) << "snapshot scratch smaller than the read";
+  const std::span<std::byte> out = scratch.first(len);
+  if (region->stripe_bytes == 0 || len == 0) {
+    AtomicLoadBytes(out.data(), region->bytes.data() + offset, len);
     // Acquire half of the unguarded-store publish protocol (see
     // GuardedStore).
     mc::Fence(std::memory_order_acquire);
-    return true;
+    return out;
   }
   const size_t first = offset / region->stripe_bytes;
-  const size_t last = (offset + out.size() - 1) / region->stripe_bytes;
+  const size_t last = (offset + len - 1) / region->stripe_bytes;
   // dstorm reads stay within one stripe (slot reads within a slot-sized
   // stripe; word reads in word-striped regions). Multi-stripe snapshots
   // can't be validated as one unit; cap how many we track.
@@ -110,18 +107,18 @@ bool ShmemTransport::Read(MrHandle mr, size_t offset, std::span<std::byte> out) 
   for (size_t s = 0; s < nstripes; ++s) {
     begin_seq[s] = region->guards[first + s].sequence();
     if (begin_seq[s] & 1) {
-      return false;  // write in flight
+      return {};  // write in flight
     }
   }
-  GuardedLoadBytes(out.data(), region->bytes.data() + offset, out.size());
+  GuardedLoadBytes(out.data(), region->bytes.data() + offset, len);
   // Order the payload loads before the validating sequence loads.
   mc::Fence(std::memory_order_acquire);
   for (size_t s = 0; s < nstripes; ++s) {
     if (region->guards[first + s].sequence() != begin_seq[s]) {
-      return false;  // overwritten mid-read: torn
+      return {};  // overwritten mid-read: torn
     }
   }
-  return true;
+  return out;
 }
 
 void ShmemTransport::Write(MrHandle mr, size_t offset, std::span<const std::byte> data) {

@@ -9,7 +9,7 @@
 //   1. Striped SeqLocks (src/base/seqlock.h): a registered region is divided
 //      into guard stripes (dstorm registers one stripe per receive slot, so
 //      concurrent senders never share a stripe). A writer holds the stripe's
-//      seqlock across its copy; Read() detects in-flight overwrites and
+//      seqlock across its copy; Snapshot() detects in-flight overwrites and
 //      reports them as torn, which dstorm's atomic gather already handles.
 //   2. Bulk guarded copies, word-atomic unguarded ones: bytes under a stripe
 //      guard move in one copy (GuardedStoreBytes / GuardedLoadBytes, a
@@ -78,9 +78,10 @@ class ShmemTransport : public Transport {
   MrHandle RegisterMemory(int node, size_t bytes, size_t guard_stripe_bytes) override;
   using Transport::RegisterMemory;
   void DeregisterMemory(MrHandle mr) override;
-  std::span<std::byte> Data(MrHandle mr) override;
 
-  [[nodiscard]] bool Read(MrHandle mr, size_t offset, std::span<std::byte> out) const override;
+  // Copies into `scratch` under the stripe guards; empty when torn.
+  [[nodiscard]] std::span<const std::byte> Snapshot(MrHandle mr, size_t offset, size_t len,
+                                                    std::span<std::byte> scratch) const override;
   void Write(MrHandle mr, size_t offset, std::span<const std::byte> data) override;
 
   // Applies inline on the sender's thread and completes onto `src`'s CQ

@@ -34,41 +34,79 @@ void Fabric::OnKill(int pid) {
 }
 
 MrHandle Fabric::RegisterMemory(int node, size_t bytes, size_t guard_stripe_bytes) {
-  (void)guard_stripe_bytes;  // concurrency hint; meaningless under event serialization
   MALT_CHECK(node >= 0 && node < nodes()) << "bad node " << node;
   auto region = std::make_unique<Region>();
-  region->bytes.resize(bytes);
+  region->size = bytes;
+  region->striped = guard_stripe_bytes > 0 && bytes > 0;
+  region->stripe = region->striped ? std::min(guard_stripe_bytes, bytes) : bytes;
+  const size_t count = bytes == 0 ? 0 : (bytes + region->stripe - 1) / region->stripe;
+  region->stripes.reserve(count);
+  for (size_t i = 0; i < count; ++i) {
+    region->stripes.push_back(region->NewBuffer());
+  }
   auto& list = regions_[static_cast<size_t>(node)];
   list.push_back(std::move(region));
   return MrHandle{node, static_cast<uint32_t>(list.size() - 1)};
 }
 
+std::byte* Fabric::Region::NewBuffer() {
+  owned.push_back(std::make_unique<std::byte[]>(stripe));
+  return owned.back().get();
+}
+
+void Fabric::Region::CopyIn(size_t offset, std::span<const std::byte> data) {
+  for (size_t done = 0; done < data.size();) {
+    const size_t at = offset + done;
+    const size_t n = std::min(stripe - at % stripe, data.size() - done);
+    std::memcpy(stripes[at / stripe] + at % stripe, data.data() + done, n);
+    done += n;
+  }
+}
+
+Fabric::Region* Fabric::FindRegion(MrHandle mr) const {
+  if (!mr.valid() || mr.node >= nodes()) {
+    return nullptr;
+  }
+  const auto& list = regions_[static_cast<size_t>(mr.node)];
+  return mr.rkey < list.size() ? list[mr.rkey].get() : nullptr;
+}
+
 void Fabric::DeregisterMemory(MrHandle mr) {
-  MALT_CHECK(mr.valid()) << "deregister of invalid handle";
-  regions_[static_cast<size_t>(mr.node)][mr.rkey]->registered = false;
+  Region* region = FindRegion(mr);
+  MALT_CHECK(region != nullptr) << "deregister of invalid handle";
+  region->registered = false;
 }
 
-std::span<std::byte> Fabric::Data(MrHandle mr) {
-  MALT_CHECK(mr.valid()) << "data access through invalid handle";
-  Region& region = *regions_[static_cast<size_t>(mr.node)][mr.rkey];
-  return std::span<std::byte>(region.bytes.data(), region.bytes.size());
-}
-
-bool Fabric::Read(MrHandle mr, size_t offset, std::span<std::byte> out) const {
-  MALT_CHECK(mr.valid()) << "read through invalid handle";
-  const Region& region = *regions_[static_cast<size_t>(mr.node)][mr.rkey];
-  MALT_CHECK(offset + out.size() <= region.bytes.size())
-      << "read past region end (rkey " << mr.rkey << ")";
-  std::memcpy(out.data(), region.bytes.data() + offset, out.size());
-  return true;  // event serialization: a local read never races an apply
+std::span<const std::byte> Fabric::Snapshot(MrHandle mr, size_t offset, size_t len,
+                                            std::span<std::byte> scratch) const {
+  const Region* region = FindRegion(mr);
+  MALT_CHECK(region != nullptr) << "read through invalid handle";
+  MALT_CHECK(offset + len <= region->size) << "read past region end (rkey " << mr.rkey << ")";
+  if (len == 0) {
+    return {};
+  }
+  const size_t in = offset % region->stripe;
+  if (in + len <= region->stripe) {
+    return {region->stripes[offset / region->stripe] + in, len};
+  }
+  MALT_CHECK(len <= scratch.size()) << "snapshot scratch smaller than the read";
+  for (size_t done = 0; done < len;) {
+    const size_t at = offset + done;
+    const size_t n = std::min(region->stripe - at % region->stripe, len - done);
+    std::memcpy(scratch.data() + done, region->stripes[at / region->stripe] + at % region->stripe,
+                n);
+    done += n;
+  }
+  return scratch.first(len);
 }
 
 void Fabric::Write(MrHandle mr, size_t offset, std::span<const std::byte> data) {
-  MALT_CHECK(mr.valid()) << "write through invalid handle";
-  Region& region = *regions_[static_cast<size_t>(mr.node)][mr.rkey];
-  MALT_CHECK(offset + data.size() <= region.bytes.size())
+  Region* region = FindRegion(mr);
+  MALT_CHECK(region != nullptr) << "write through invalid handle";
+  MALT_CHECK(offset + data.size() <= region->size)
       << "write past region end (rkey " << mr.rkey << ")";
-  std::memcpy(region.bytes.data() + offset, data.data(), data.size());
+  ++view_generation_;
+  region->CopyIn(offset, data);
 }
 
 bool Fabric::HasSendRoom(int node) const {
@@ -123,59 +161,84 @@ Result<uint64_t> Fabric::PostWrite(int src, SimTime now, MrHandle dst_mr, size_t
 
   // DMA snapshot: the payload is captured at post time, so the application
   // may immediately reuse its buffer (same contract as a copying send; the
-  // zero-copy variant would pin the buffer until completion).
-  auto payload = std::make_shared<std::vector<std::byte>>(data.begin(), data.end());
-
-  auto apply_payload = [this, dst_mr, dst_offset, payload](size_t from, size_t to) {
-    Region& region = *regions_[static_cast<size_t>(dst_mr.node)][dst_mr.rkey];
-    if (!region.registered) {
-      return false;
+  // zero-copy variant would pin the buffer until completion). A write that
+  // fills the start of one stripe of a striped region is captured into a
+  // spare stripe buffer, which the arrival swaps in whole; any other write
+  // keeps a private copy that the arrival copies into place.
+  const bool split = options_.torn_writes && data.size() >= 2;
+  Region* region = FindRegion(dst_mr);
+  const bool swap = region != nullptr && region->striped && !split &&
+                    dst_offset % region->stripe == 0 && data.size() <= region->stripe &&
+                    dst_offset + data.size() <= region->size;
+  std::byte* stripe_buf = nullptr;
+  std::shared_ptr<const std::vector<std::byte>> copy;
+  if (swap) {
+    if (region->spare.empty()) {
+      region->spare.push_back(region->NewBuffer());
     }
-    if (dst_offset + payload->size() > region.bytes.size()) {
-      return false;
-    }
-    std::memcpy(region.bytes.data() + dst_offset + from, payload->data() + from, to - from);
-    return true;
-  };
-
-  const bool split = options_.torn_writes && payload->size() >= 2;
-  const size_t half = payload->size() / 2;
+    stripe_buf = region->spare.back();
+    region->spare.pop_back();
+    std::memcpy(stripe_buf, data.data(), data.size());
+  } else {
+    copy = std::make_shared<const std::vector<std::byte>>(data.begin(), data.end());
+  }
+  const size_t len = data.size();
   const SimTime second_half_at = arrival + options_.net.latency;
 
-  engine_.ScheduleEvent(arrival, [this, src, dst, dst_mr, dst_offset, wr_id, ack, apply_payload,
-                                  split, half, second_half_at, payload, trace] {
+  engine_.ScheduleEvent(arrival, [this, src, dst, dst_mr, dst_offset, wr_id, ack, stripe_buf, copy,
+                                  len, split, second_half_at, trace] {
+    const std::span<const std::byte> payload = stripe_buf != nullptr
+                                                   ? std::span<const std::byte>(stripe_buf, len)
+                                                   : std::span<const std::byte>(*copy);
+    Region* dst_region = FindRegion(dst_mr);
     WcStatus status = WcStatus::kSuccess;
     if (!alive_[static_cast<size_t>(dst)]) {
       status = WcStatus::kRemoteDead;
     } else if (!Reachable(src, dst)) {
       status = WcStatus::kUnreachable;
-    } else {
-      const bool ok = split ? apply_payload(0, half) : apply_payload(0, payload->size());
-      if (!ok) {
-        status = WcStatus::kInvalidRkey;
-      } else {
-        if (trace.enabled()) {
-          RecordApply(src, dst, trace, engine_.now());
-        }
-        if (split) {
-          checker().OnRemoteWriteApply(src, dst, dst_mr.rkey, dst_offset, *payload,
-                                       ProtocolChecker::ApplyPhase::kFirstHalf, engine_.now());
-          // Second half lands one latency later — a reader in between
-          // observes a torn write, which the dstorm sequence stamps detect.
-          engine_.ScheduleEvent(
-              second_half_at,
-              [this, src, dst, dst_mr, dst_offset, apply_payload, half, payload] {
-                if (apply_payload(half, payload->size())) {
-                  checker().OnRemoteWriteApply(src, dst, dst_mr.rkey, dst_offset, *payload,
-                                               ProtocolChecker::ApplyPhase::kSecondHalf,
-                                               engine_.now());
-                }
-              });
-        } else {
-          checker().OnRemoteWriteApply(src, dst, dst_mr.rkey, dst_offset, *payload,
-                                       ProtocolChecker::ApplyPhase::kFull, engine_.now());
-        }
+    } else if (dst_region == nullptr || !dst_region->registered ||
+               dst_offset + len > dst_region->size) {
+      status = WcStatus::kInvalidRkey;
+    }
+    if (status != WcStatus::kSuccess) {
+      if (stripe_buf != nullptr) {
+        dst_region->spare.push_back(stripe_buf);
       }
+      DeliverCompletion(src, wr_id, dst, status, ack);
+      return;
+    }
+    ++view_generation_;
+    if (stripe_buf != nullptr) {
+      // The stripe's bytes past the payload are the installed buffer's as of
+      // now; the replaced buffer goes back to the spares.
+      std::byte*& installed = dst_region->stripes[dst_offset / dst_region->stripe];
+      std::memcpy(stripe_buf + len, installed + len, dst_region->stripe - len);
+      dst_region->spare.push_back(installed);
+      installed = stripe_buf;
+    } else {
+      dst_region->CopyIn(dst_offset, split ? payload.first(len / 2) : payload);
+    }
+    if (trace.enabled()) {
+      RecordApply(src, dst, trace, engine_.now());
+    }
+    if (split) {
+      checker().OnRemoteWriteApply(src, dst, dst_mr.rkey, dst_offset, payload,
+                                   ProtocolChecker::ApplyPhase::kFirstHalf, engine_.now());
+      // Second half lands one latency later — a reader in between observes
+      // a torn write, which the dstorm sequence stamps detect.
+      engine_.ScheduleEvent(second_half_at, [this, src, dst, dst_mr, dst_offset, dst_region, copy] {
+        if (!dst_region->registered) {
+          return;
+        }
+        const size_t half = copy->size() / 2;
+        ++view_generation_;
+        dst_region->CopyIn(dst_offset + half, std::span<const std::byte>(*copy).subspan(half));
+        checker().OnRemoteWriteApply(src, dst, dst_mr.rkey, dst_offset, *copy,
+                                     ProtocolChecker::ApplyPhase::kSecondHalf, engine_.now());
+      });
+    } else {
+      checker().OnRemoteWriteApply(src, dst, dst_mr.rkey, dst_offset, payload,
+                                   ProtocolChecker::ApplyPhase::kFull, engine_.now());
     }
     DeliverCompletion(src, wr_id, dst, status, ack);
   });

@@ -6,7 +6,16 @@
 //   1. One-sidedness — a remote write lands in the destination's registered
 //      memory without involving the destination CPU. In the simulator the
 //      payload is snapshotted at post time (DMA read) and applied by the
-//      engine at the virtual arrival instant.
+//      engine at the virtual arrival instant, moving each payload once:
+//      a striped region (RegisterMemory's stripe hint; dstorm's receive
+//      slots) keeps every stripe in its own buffer, a stripe-aligned post
+//      copies its payload into a spare stripe buffer from the region's free
+//      list, and the arrival event copies in only the stripe's bytes past
+//      the payload (as they are at that instant) and swaps the buffer in.
+//      Snapshot() then hands the reader a view of the installed buffer, not
+//      a copy. Unstriped regions, writes that do not start on a stripe
+//      boundary or cross one, and the split writes of `torn_writes` keep a
+//      private payload copy that the arrival copies into place.
 //   2. Low latency / high bandwidth — a NetworkModel charges one-way latency
 //      plus serialization at line rate; the sender NIC serializes writes
 //      (back-to-back posts queue behind each other).
@@ -71,22 +80,23 @@ class Fabric : public Transport {
   const FabricOptions& options() const { return options_; }
 
   // Registers `bytes` of fabric-owned memory on `node`; the region is
-  // remotely writable by any peer holding the handle. The stripe hint is for
-  // concurrent backends; the single-threaded simulator ignores it.
+  // remotely writable by any peer holding the handle. A nonzero stripe hint
+  // makes each stripe its own buffer, the unit a write lands in by swap.
   MrHandle RegisterMemory(int node, size_t bytes, size_t guard_stripe_bytes) override;
   using Transport::RegisterMemory;
 
   // De-registers (further writes fail with kInvalidRkey).
   void DeregisterMemory(MrHandle mr) override;
 
-  // Local access to a region's bytes (the owner polls it; in hardware this is
-  // just a pointer into the registered buffer).
-  std::span<std::byte> Data(MrHandle mr) override;
-
-  // Local consistent read/write: plain memcpy — events are serialized by the
-  // engine, so a local access can never race a remote apply.
-  [[nodiscard]] bool Read(MrHandle mr, size_t offset, std::span<std::byte> out) const override;
+  // Local consistent access: events are serialized by the engine, so a
+  // local access never races a remote apply and a read is never torn. A
+  // range inside one stripe comes back as a view of the stripe's buffer,
+  // valid until the next write into the region; a range across stripes is
+  // copied into `scratch`.
+  [[nodiscard]] std::span<const std::byte> Snapshot(MrHandle mr, size_t offset, size_t len,
+                                                    std::span<std::byte> scratch) const override;
   void Write(MrHandle mr, size_t offset, std::span<const std::byte> data) override;
+  uint64_t ViewGeneration() const override { return view_generation_; }
 
   // Posts a one-sided RDMA write of `data` into `dst_mr` at `dst_offset`,
   // from process `src` at virtual time `now`. Returns the work-request id, or
@@ -111,11 +121,26 @@ class Fabric : public Transport {
   bool Reachable(int a, int b) const;
 
  private:
+  // A region's bytes, as stripes of `stripe` bytes, each in its own buffer
+  // (an unstriped region is one stripe). Buffers are owned by `owned` and
+  // never freed before the fabric, so in-flight posts and events hold plain
+  // pointers to them.
   struct Region {
-    std::vector<std::byte> bytes;
+    size_t size = 0;
+    size_t stripe = 0;                // stripe length; the whole region when unstriped
+    bool striped = false;             // registered with a stripe hint: aligned writes swap
+    std::vector<std::byte*> stripes;  // the installed buffer of each stripe
+    std::vector<std::byte*> spare;    // free stripe buffers, for posts to take
+    std::vector<std::unique_ptr<std::byte[]>> owned;
     bool registered = true;
+
+    std::byte* NewBuffer();
+    // Copies `data` into the region at `offset`, across stripes.
+    void CopyIn(size_t offset, std::span<const std::byte> data);
   };
 
+  // Null when the handle names no region.
+  Region* FindRegion(MrHandle mr) const;
   void OnKill(int pid);
   void DeliverCompletion(int src, uint64_t wr_id, int dst, WcStatus status, SimTime when);
 
@@ -127,6 +152,7 @@ class Fabric : public Transport {
   std::vector<bool> alive_;                                    // [node]
   std::vector<bool> unreachable_;                              // [a*nodes+b]
   uint64_t next_wr_id_ = 1;
+  uint64_t view_generation_ = 0;  // bumped by every apply and local Write
 };
 
 }  // namespace malt

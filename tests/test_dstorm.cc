@@ -221,10 +221,12 @@ TEST(Dstorm, TornWriteSkippedThenConsumed) {
 
 TEST(Dstorm, GatherCopiesOnlyFreshSlots) {
   // One 64-byte object into a depth-4 queue, gathered twice. The first
-  // gather snapshots its header + payload + back stamp in one read
-  // (16 + 64 + 8 = 88 bytes) and folds it; the second decides from the
-  // header that the slot is stale and copies nothing. The checker sees exactly one stale skip, reported with matching
-  // stamps (a mismatched pair would be a seqlock_protocol violation).
+  // gather takes its header + payload + back stamp in one snapshot, which on
+  // the simulator is a view of the slot, so nothing is copied
+  // (ShmemDstorm.GatherCopiesOnlyFreshSlots counts the shmem copy); the
+  // second decides from the header that the slot is stale. The checker sees
+  // exactly one stale skip, reported with matching stamps (a mismatched pair
+  // would be a seqlock_protocol violation).
   ProtocolChecker checker(CheckLevel::kFull, 2);
   SimCluster cluster(2, FastNet(), &checker);
   const MetricRegistry& metrics = cluster.fabric.telemetry().rank(1).metrics;
@@ -257,7 +259,7 @@ TEST(Dstorm, GatherCopiesOnlyFreshSlots) {
     fresh_after = d.FreshAvailable(seg);
   });
   EXPECT_EQ(first, 1);
-  EXPECT_EQ(copied_first, 16 + 64 + 8);
+  EXPECT_EQ(copied_first, 0);
   EXPECT_EQ(second, 0);
   EXPECT_EQ(copied_second, 0);
   EXPECT_FALSE(fresh_after);
@@ -485,6 +487,33 @@ TEST(DstormDeathTest, UnknownSegmentIdAborts) {
   EXPECT_DEATH(cluster.domain.node(0).Gather(1, ignore), "rank 0 has no segment 1");
   EXPECT_DEATH((void)cluster.domain.node(0).FreshAvailable(-1), "rank 0 has no segment -1");
   EXPECT_EQ(cluster.domain.node(0).Gather(0, ignore), 0);  // its own id still works
+}
+
+TEST(DstormDeathTest, ConsumeThatYieldsAborts) {
+  // On the simulator RecvObject::bytes views the receive slot, which the
+  // next write into the region swaps out. A consume callback that advances
+  // its clock lets rank 0's second object land under the view, and Gather
+  // must abort rather than let the callback go on reading freed bytes.
+  auto run = [] {
+    SimCluster cluster(2);
+    cluster.Run([&](int rank, Dstorm& d, Process& p) {
+      SegmentOptions opts;
+      opts.obj_bytes = 64;
+      opts.graph = RingGraph(2);
+      const SegmentId seg = d.CreateSegment(opts);
+      std::vector<std::byte> payload(64, std::byte{0x5A});
+      if (rank == 0) {
+        ASSERT_TRUE(d.Scatter(seg, payload, 1).ok());
+        p.Advance(50'000);
+        ASSERT_TRUE(d.Scatter(seg, payload, 2).ok());
+        ASSERT_TRUE(d.Flush().ok());
+        return;
+      }
+      p.WaitUntil([&] { return d.FreshAvailable(seg); });
+      d.Gather(seg, [&](const RecvObject&) { d.ctx().Advance(1'000'000); });
+    });
+  };
+  EXPECT_DEATH(run(), "a write landed while Gather's consume callback held sender 0's object");
 }
 
 TEST(DstormDeathTest, MismatchedCollectiveOptionsAbort) {

@@ -153,6 +153,41 @@ TEST(ShmemDstorm, RacingRoundsNeverYieldTornObjects) {
 
 // Barrier invariant: no rank exits round k before every rank has entered
 // round k. Checked by a shared epoch counter.
+TEST(ShmemDstorm, GatherCopiesOnlyFreshSlots) {
+  // The shmem twin of Dstorm.GatherCopiesOnlyFreshSlots: here a gather
+  // copies each fresh slot's header + payload + back stamp out of the
+  // receive region under its stripe guard (16 + 64 + 8 = 88 bytes), and a
+  // stale slot, decided from the header, costs no copy.
+  ShmemCluster cluster(2);
+  const MetricRegistry& metrics = cluster.transport.telemetry().rank(1).metrics;
+  int first = -1;
+  int second = -1;
+  int64_t copied_first = -1;
+  int64_t copied_second = -1;
+  cluster.Run([&](int rank, Dstorm& d, ShmemRankCtx&) {
+    SegmentOptions opts;
+    opts.obj_bytes = 64;
+    opts.graph = RingGraph(2);
+    opts.queue_depth = 4;
+    const SegmentId seg = d.CreateSegment(opts);
+    if (rank == 0) {
+      std::vector<std::byte> payload(64, std::byte{0x3C});
+      ASSERT_TRUE(d.Scatter(seg, payload, 1).ok());
+      ASSERT_TRUE(d.Barrier().ok());
+      return;
+    }
+    ASSERT_TRUE(d.Barrier().ok());
+    first = d.Gather(seg, [](const RecvObject&) {});
+    copied_first = metrics.CounterValue("dstorm.gather_bytes_copied");
+    second = d.Gather(seg, [](const RecvObject&) {});
+    copied_second = metrics.CounterValue("dstorm.gather_bytes_copied") - copied_first;
+  });
+  EXPECT_EQ(first, 1);
+  EXPECT_EQ(copied_first, 16 + 64 + 8);
+  EXPECT_EQ(second, 0);
+  EXPECT_EQ(copied_second, 0);
+}
+
 TEST(ShmemDstorm, BarrierSeparatesRounds) {
   const int n = 4;
   const int rounds = 25;

@@ -39,7 +39,7 @@ TEST(ShmemTransport, WriteLandsWithCompletionAndStats) {
 
   // The payload is visible in the peer's region immediately (inline apply).
   double landed = 0.0;
-  std::memcpy(&landed, t.Data(mr).data() + 8, sizeof(landed));
+  ASSERT_TRUE(t.Read(mr, 8, std::span<std::byte>(reinterpret_cast<std::byte*>(&landed), 8)));
   EXPECT_EQ(landed, value);
 
   // The sender's CQ holds exactly one success completion for that wr_id.

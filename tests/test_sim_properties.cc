@@ -86,7 +86,8 @@ TEST(SimProperties, WritesNeverArriveBeforePostTime) {
     while (last_seen < 50) {
       p.Advance(200);
       uint64_t value;
-      std::memcpy(&value, fabric.Data(mr).data(), 8);
+      ASSERT_TRUE(
+          fabric.Read(mr, 0, std::span<std::byte>(reinterpret_cast<std::byte*>(&value), 8)));
       if (value != last_seen) {
         ASSERT_EQ(value, last_seen + 1) << "writes reordered";
         last_seen = value;

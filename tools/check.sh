@@ -27,10 +27,13 @@
 #                      Failing schedules land in /tmp/malt_mc_*.trace; replay
 #                      one with malt_mc --harness=<h> --mc_replay=<file>.
 #   5. malt_run --check=full — the SVM example under the happens-before
-#                      validator, on both transports, plus MF under ASP and
-#                      SSP on shmem (variable-size sparse objects racing the
-#                      reader, no barrier; SSP also certifies MF's gate
-#                      releases); any violation fails the gate.
+#                      validator, on both transports, plus MF under ASP on
+#                      both and SSP on shmem (variable-size sparse objects
+#                      racing the reader, no barrier; on the simulator they
+#                      are shorter than their slot, so they land through the
+#                      stripe-tail copy of the buffer-swap apply; SSP also
+#                      certifies MF's gate releases); any violation fails
+#                      the gate.
 #   6. report.py trace smoke — flow-traced runs with the NDJSON sampler on
 #                      both transports, rendered by tools/report.py.
 #   6b. report.py health smoke — planted-straggler runs (one rank slowed via
@@ -145,7 +148,7 @@ else
   fail "model-check build (MALT_MODELCHECK=ON)"
 fi
 
-# --- 5. protocol check: SVM on both transports, MF ASP and SSP on shmem -------
+# --- 5. protocol check: SVM and MF ASP on both transports, MF SSP on shmem ----
 note "malt_run --check=full (SVM, sim)"
 if "$BUILD_DIR/tools/malt_run" --app=svm --epochs=3 --check=full \
      --check_out=/tmp/malt_check_report.json; then
@@ -161,6 +164,14 @@ if "$BUILD_DIR/tools/malt_run" --app=svm --epochs=3 --check=full --transport=shm
 else
   cat /tmp/malt_check_report_shmem.json 2>/dev/null
   fail "malt_run --check=full --transport=shmem reported violations"
+fi
+note "malt_run --check=full (MF, ASP, sim)"
+if "$BUILD_DIR/tools/malt_run" --app=mf --sync=asp --epochs=3 --check=full \
+     --check_out=/tmp/malt_check_report_mf_asp_sim.json; then
+  echo "protocol check OK (report: /tmp/malt_check_report_mf_asp_sim.json)"
+else
+  cat /tmp/malt_check_report_mf_asp_sim.json 2>/dev/null
+  fail "malt_run --app=mf --sync=asp --check=full reported violations"
 fi
 note "malt_run --check=full (MF, ASP, shmem)"
 if "$BUILD_DIR/tools/malt_run" --app=mf --sync=asp --epochs=3 --check=full --transport=shmem \
